@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = ["SummaryStats", "summarize", "bootstrap_ci"]
 
@@ -42,9 +41,11 @@ def summarize(samples: Sequence[float], confidence: float = 0.95) -> SummaryStat
     mean = float(values.mean())
     if values.size == 1:
         return SummaryStats(mean, 0.0, 1, mean, mean, confidence)
+    from scipy.special import stdtrit  # what scipy.stats.t.ppf evaluates
+
     std = float(values.std(ddof=1))
     sem = std / math.sqrt(values.size)
-    t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=values.size - 1))
+    t_crit = float(stdtrit(values.size - 1, 0.5 + confidence / 2.0))
     return SummaryStats(
         mean=mean,
         std=std,

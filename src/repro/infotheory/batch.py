@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 __all__ = [
     "exponential_entropy_batch",
@@ -59,6 +58,8 @@ def erlang_entropy_batch(shapes: np.ndarray, rates: np.ndarray) -> np.ndarray:
     ``shapes`` and ``rates`` broadcast against each other; shapes must
     be positive integers (Erlang, not general Gamma).
     """
+    from scipy.special import digamma, gammaln
+
     shapes = np.asarray(shapes)
     if np.any(shapes < 1):
         offender = shapes[shapes < 1].ravel()[0]

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import digamma
-
 __all__ = [
     "exponential_entropy",
     "uniform_entropy",
@@ -64,6 +62,8 @@ def erlang_entropy(shape: int, rate: float) -> float:
         raise ValueError(f"shape must be a positive integer, got {shape}")
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
+    from scipy.special import digamma
+
     return (
         shape
         - math.log(rate)

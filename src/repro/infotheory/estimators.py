@@ -21,10 +21,12 @@ Three estimators with different bias/variance trade-offs:
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 __all__ = [
     "binned_mutual_information",
@@ -122,6 +124,9 @@ def ksg_mutual_information(x: np.ndarray, z: np.ndarray, k: int = 4) -> float:
     A tiny deterministic jitter breaks ties that arise from discrete
     timestamps without perturbing the estimate.
     """
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma
+
     x, z = _validate_pairs(x, z, minimum=8)
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")

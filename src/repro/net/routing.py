@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import networkx as nx
-
 from repro.net.topology import Deployment
 
 __all__ = [
@@ -203,6 +201,8 @@ def shortest_path_tree(deployment: Deployment) -> RoutingTree:
     distances double as the reachability check, so the graph is built
     once instead of twice.
     """
+    import networkx as nx
+
     graph = deployment.connectivity_graph()
     distances = nx.single_source_shortest_path_length(graph, deployment.sink)
     unreachable = [n for n in deployment.node_ids if n not in distances]

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "Deployment",
@@ -88,6 +90,8 @@ class Deployment:
         between milliseconds and minutes at the 10^3-10^4-node
         scenario scales.
         """
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.positions)
         ids = self.node_ids
@@ -120,6 +124,8 @@ class Deployment:
 
     def is_connected(self) -> bool:
         """True if every node can reach the sink over some path."""
+        import networkx as nx
+
         graph = self.connectivity_graph()
         return nx.is_connected(graph) if graph.number_of_nodes() else True
 

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 import operator
 
-from scipy.optimize import brentq
-
 __all__ = [
     "erlang_b",
     "erlang_b_inverse_capacity",
@@ -129,6 +127,8 @@ def offered_load_for_target_loss(servers: int, target_loss: float) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise RuntimeError("load search did not converge")
+    from scipy.optimize import brentq
+
     return float(brentq(lambda rho: erlang_b(rho, servers) - target_loss, 0.0, hi))
 
 

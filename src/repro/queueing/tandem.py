@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-import networkx as nx
-
 from repro.queueing.erlang import erlang_b
 from repro.queueing.mminf import MMInfinityQueue
 from repro.queueing.mmkk import MMkkQueue
@@ -187,6 +185,8 @@ class QueueTreeModel:
     default_service_rate: float = 1.0
 
     def __post_init__(self) -> None:
+        import networkx as nx
+
         self._graph = nx.DiGraph()
         for child, par in self.parent.items():
             self._graph.add_edge(child, par)

@@ -45,6 +45,8 @@ per-cell simulator invocation.  This package instruments both:
   that proves the transport's fault tolerance in tests and CI.
 """
 
+from importlib import import_module
+
 from repro.runtime.cache import (
     CacheDiskStats,
     CacheStats,
@@ -81,32 +83,44 @@ from repro.runtime.supervisor import (
     supervised_map,
 )
 
-# Imported last: the fabric layers on top of every module above.
-from repro.runtime.chaosnet import (  # noqa: E402
-    ChaosProxy,
-    ChaosStats,
-    NetFaultPlan,
-    PartitionWindow,
-)
-from repro.runtime.fabric import (  # noqa: E402
-    FabricConfig,
-    FabricError,
-    FabricReport,
-    FabricWorker,
-    FilesystemClock,
-    SystemClock,
-    run_fabric,
-)
-from repro.runtime.transport import (  # noqa: E402
-    Backoff,
-    FabricEndpoint,
-    FrameError,
-    TransportClient,
-    TransportDown,
-    TransportError,
-    TransportStats,
-    parse_endpoint,
-)
+# The fabric and its TCP/chaos layers pull in asyncio and most of the
+# stdlib networking stack, which a local sweep never touches; their
+# names resolve on first access (PEP 562) instead of at package import.
+_LAZY = {
+    **dict.fromkeys(
+        ("ChaosProxy", "ChaosStats", "NetFaultPlan", "PartitionWindow"),
+        "chaosnet",
+    ),
+    **dict.fromkeys(
+        (
+            "FabricConfig", "FabricError", "FabricReport", "FabricWorker",
+            "FilesystemClock", "SystemClock", "run_fabric",
+        ),
+        "fabric",
+    ),
+    **dict.fromkeys(
+        (
+            "Backoff", "FabricEndpoint", "FrameError", "TransportClient",
+            "TransportDown", "TransportError", "TransportStats",
+            "parse_endpoint",
+        ),
+        "transport",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "CacheDiskStats",

@@ -187,6 +187,16 @@ class ChaosStats:
     connections_severed: int = 0
     bytes_forwarded: int = 0
     delay_seconds: float = 0.0
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
+
+    def add(self, **deltas: float) -> None:
+        """Bump counters atomically: the accept loop, the partition
+        watchdog and two pump threads per link all write here."""
+        with self._lock:
+            for name, delta in deltas.items():
+                setattr(self, name, getattr(self, name) + delta)
 
 
 @dataclass
@@ -304,7 +314,7 @@ class ChaosProxy:
             if self.in_partition():
                 # The network is partitioned: accept and immediately
                 # sever, so the client sees a dead link, not a server.
-                self.stats.refused += 1
+                self.stats.add(refused=1)
                 try:
                     down.close()
                 except OSError:
@@ -313,13 +323,13 @@ class ChaosProxy:
             try:
                 up = socket.create_connection(self.upstream, timeout=5.0)
             except OSError:
-                self.stats.refused += 1
+                self.stats.add(refused=1)
                 try:
                     down.close()
                 except OSError:
                     pass
                 continue
-            self.stats.connections += 1
+            self.stats.add(connections=1)
             link = _Link(down=down, up=up)
             with self._links_lock:
                 self._links.append(link)
@@ -343,7 +353,7 @@ class ChaosProxy:
                     break
             if self._stopping.is_set():
                 return
-            self.stats.partitions_enforced += 1
+            self.stats.add(partitions_enforced=1)
             self._sever_all(count=True)
             while not self._stopping.wait(0.01):
                 if self.elapsed() >= window.end:
@@ -356,7 +366,7 @@ class ChaosProxy:
             links, self._links = self._links, []
         for link in links:
             if count and not link.dead:
-                self.stats.connections_severed += 1
+                self.stats.add(connections_severed=1)
             link.abort()
 
     # ------------------------------------------------------------------
@@ -400,12 +410,12 @@ class ChaosProxy:
                 rng.uniform(0.0, plan.jitter) if plan.jitter else 0.0
             )
             if delay > 0:
-                self.stats.delay_seconds += delay
+                self.stats.add(delay_seconds=delay)
                 if self._stopping.wait(delay):
                     break
             roll = rng.random()
             if roll < plan.drop_probability:
-                self.stats.frames_dropped += 1
+                self.stats.add(frames_dropped=1)
                 continue
             if roll < plan.drop_probability + plan.reset_probability:
                 # Mid-frame reset: half the frame, then an abortive
@@ -414,15 +424,18 @@ class ChaosProxy:
                     dst.sendall(frame[: max(1, len(frame) // 2)])
                 except OSError:
                     pass
-                self.stats.resets += 1
+                self.stats.add(resets=1)
                 break
+            # Count before sending: once the frame is out the peer may
+            # reply, and whoever sees the reply must see it counted.
+            self.stats.add(frames_forwarded=1, bytes_forwarded=len(frame))
+            duplicate = rng.random() < plan.duplicate_probability
+            if duplicate:
+                self.stats.add(frames_duplicated=1)
             try:
                 dst.sendall(frame)
-                self.stats.frames_forwarded += 1
-                self.stats.bytes_forwarded += len(frame)
-                if rng.random() < plan.duplicate_probability:
+                if duplicate:
                     dst.sendall(frame)
-                    self.stats.frames_duplicated += 1
             except OSError:
                 break
         link.abort()

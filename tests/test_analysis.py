@@ -33,6 +33,23 @@ class TestSummaryStats:
         with pytest.raises(ValueError):
             summarize([1.0], confidence=1.5)
 
+    def test_t_quantile_matches_scipy_stats_bit_for_bit(self):
+        # summarize() calls scipy.special.stdtrit directly to avoid
+        # importing scipy.stats; t.ppf is the oracle it must reproduce.
+        from scipy import stats as scipy_stats
+
+        for n in range(2, 201):
+            samples = np.arange(n, dtype=float) ** 1.5
+            for confidence in (0.5, 0.8, 0.9, 0.95, 0.99):
+                got = summarize(samples, confidence=confidence)
+                mean = float(samples.mean())
+                sem = float(samples.std(ddof=1)) / np.sqrt(n)
+                t_crit = float(
+                    scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1)
+                )
+                assert got.ci_low == mean - t_crit * sem
+                assert got.ci_high == mean + t_crit * sem
+
 
 class TestBootstrap:
     def test_ci_contains_mean(self, rng):

@@ -6,11 +6,18 @@ FabricEndpoint through it and assert both the injected failures and
 the client's recovery.
 """
 
+import sys
+import threading
 import time
 
 import pytest
 
-from repro.runtime.chaosnet import ChaosProxy, NetFaultPlan, PartitionWindow
+from repro.runtime.chaosnet import (
+    ChaosProxy,
+    ChaosStats,
+    NetFaultPlan,
+    PartitionWindow,
+)
 from repro.runtime.fabric import FabricConfig, write_grid
 from repro.runtime.transport import (
     Backoff,
@@ -86,6 +93,35 @@ class TestNetFaultPlan:
             )
         )
         assert [w.start for w in plan.partitions] == [1.0, 5.0]
+
+
+class TestChaosStats:
+    def test_concurrent_adds_lose_no_update(self):
+        # The proxy bumps one ChaosStats from two pump threads per link
+        # plus its accept and partition threads.
+        stats = ChaosStats()
+        threads, per_thread = 8, 2000
+
+        def bump():
+            for _ in range(per_thread):
+                stats.add(frames_forwarded=1, bytes_forwarded=3)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=bump) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert stats.frames_forwarded == threads * per_thread
+        assert stats.bytes_forwarded == 3 * threads * per_thread
+
+    def test_repr_omits_lock(self):
+        assert "lock" not in repr(ChaosStats())
 
 
 @pytest.fixture()
