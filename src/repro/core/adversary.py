@@ -19,19 +19,27 @@ buffer capacity k.  Three estimators of increasing sophistication:
 
 All adversaries consume :class:`~repro.net.packet.PacketObservation`
 objects only -- the construction of that type guarantees no ground
-truth can leak into the estimate.
+truth can leak into the estimate.  Handed a run's
+:class:`~repro.sim.results.DeliveryLog`, :meth:`Adversary.estimate_all`
+reads only its tap columns (arrival time, hop count, origin), or its
+observation view.
 """
 
 from __future__ import annotations
 
 import abc
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.net.packet import PacketObservation
 from repro.queueing.erlang import erlang_b
 from repro.runtime import kernels
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.results import DeliveryLog
 
 __all__ = [
     "FlowKnowledge",
@@ -92,22 +100,28 @@ class Adversary(abc.ABC):
     def estimate(self, observation: PacketObservation) -> float:
         """Estimated creation time x_hat for one observed packet."""
 
-    def estimate_all(self, observations: list[PacketObservation]) -> list[float]:
+    def estimate_all(
+        self, observations: "Sequence[PacketObservation] | DeliveryLog"
+    ) -> list[float]:
         """Estimate a whole arrival sequence (must be in arrival order).
 
-        Dispatches to the adversary's numpy batch kernel
-        (:meth:`_estimate_batch`) when one exists; adversaries without
-        one fall back to the per-observation scalar loop.  Both paths
-        produce identical estimates -- :meth:`estimate_all_scalar` is
-        kept as the explicit oracle the equivalence tests compare
-        against.
+        ``observations`` is a sequence of observations or a run's
+        :class:`~repro.sim.results.DeliveryLog`, whose columns feed the
+        batch kernel without building per-packet objects.  Dispatches
+        to the adversary's numpy batch kernel (:meth:`_estimate_batch`)
+        when one exists; adversaries without one fall back to the
+        per-observation scalar loop.  Both paths produce identical
+        estimates -- :meth:`estimate_all_scalar` is kept as the explicit
+        oracle the equivalence tests compare against.
         """
-        if not observations:
+        if not len(observations):
             return []
         arrivals, hops, origins = kernels.observation_arrays(observations)
         self._check_arrival_order(arrivals)
         batch = self._estimate_batch(arrivals, hops, origins)
         if batch is None:
+            if not isinstance(observations, Sequence):
+                observations = observations.observations
             return [self.estimate(observation) for observation in observations]
         return batch.tolist()
 

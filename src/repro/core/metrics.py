@@ -16,12 +16,16 @@ against it to produce a :class:`FlowMetrics`.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.infotheory.mmse import mse_of_estimator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.results import DeliveryLog
 
 __all__ = ["PacketRecord", "LatencyStats", "FlowMetrics", "summarize_flow"]
 
@@ -93,33 +97,46 @@ class FlowMetrics:
 
 
 def summarize_flow(
-    records: Sequence[PacketRecord], estimates: Sequence[float]
+    records: "Sequence[PacketRecord] | DeliveryLog", estimates: Sequence[float]
 ) -> FlowMetrics:
     """Combine ground truth and adversary estimates into metrics.
 
     ``records`` and ``estimates`` must be aligned (same packets, same
     order -- arrival order, matching how the adversary consumed the
-    observations) and non-empty, from a single flow.
+    observations) and non-empty, from a single flow.  ``records`` is a
+    sequence of :class:`PacketRecord` or a
+    :class:`~repro.sim.results.DeliveryLog`, whose columns are read
+    directly.
     """
-    if not records:
+    if not len(records):
         raise ValueError("cannot summarize an empty flow")
     if len(records) != len(estimates):
         raise ValueError(
             f"{len(records)} records but {len(estimates)} estimates"
         )
-    flow_ids = {record.flow_id for record in records}
-    if len(flow_ids) != 1:
-        raise ValueError(f"records span multiple flows: {sorted(flow_ids)}")
-    truths = [record.created_at for record in records]
+    if isinstance(records, Sequence):
+        flow_ids = np.array([record.flow_id for record in records])
+        truths = np.array([record.created_at for record in records], dtype=float)
+        latencies = np.array([record.latency for record in records], dtype=float)
+        preemptions = np.array(
+            [record.preemptions_experienced for record in records]
+        )
+    else:
+        flow_ids = records.flow_id
+        truths = records.created_at
+        latencies = records.latency()
+        preemptions = records.preemptions
+    distinct = np.unique(flow_ids)
+    if len(distinct) != 1:
+        raise ValueError(f"records span multiple flows: {distinct.tolist()}")
     mse = mse_of_estimator(truths, estimates)
-    errors = np.asarray(estimates, dtype=float) - np.asarray(truths, dtype=float)
-    latency = LatencyStats.from_samples([record.latency for record in records])
-    preempted = sum(1 for r in records if r.preemptions_experienced > 0)
+    errors = np.asarray(estimates, dtype=float) - truths
+    preempted = int(np.count_nonzero(preemptions > 0))
     return FlowMetrics(
-        flow_id=records[0].flow_id,
+        flow_id=int(distinct[0]),
         n_packets=len(records),
         mse=mse,
         mean_error=float(errors.mean()),
-        latency=latency,
+        latency=LatencyStats.from_samples(latencies),
         preemption_fraction=preempted / len(records),
     )

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Literal
 
+import numpy as np
+
 from repro.core.adversary import (
     AdaptiveAdversary,
     Adversary,
@@ -123,10 +125,9 @@ def score_flow(
     requested flow only -- flow S1 in the paper's reported results.
     """
     adversary.reset()
-    estimates = adversary.estimate_all(result.observations)
-    indices = result.flow_indices(flow_id)
-    if not indices:
+    delivery = result.delivery
+    estimates = adversary.estimate_all(delivery)
+    indices = np.flatnonzero(delivery.flow_id == flow_id)
+    if not indices.size:
         raise ValueError(f"no delivered packets for flow {flow_id}")
-    flow_estimates = [estimates[i] for i in indices]
-    flow_records = [result.records[i] for i in indices]
-    return summarize_flow(flow_records, flow_estimates)
+    return summarize_flow(delivery.take(indices), np.asarray(estimates)[indices])

@@ -23,9 +23,9 @@ faulty or not -- and checks:
 3. **crash discipline** -- a crashed node never released a buffered
    packet mid-crash (the simulator reports the count of such releases,
    which must be zero), and only crashed nodes may strand packets;
-4. **alignment** -- the adversary tap and the ground-truth log are the
-   same length (a misalignment would silently mis-score every
-   adversary).
+4. **alignment** -- every column of the delivery log, adversary tap
+   and ground truth alike, has the same length (a misalignment would
+   silently mis-score every adversary).
 
 Violations raise :class:`InvariantViolation`, a structured exception
 carrying every failed check so a test failure shows the full picture
@@ -35,6 +35,8 @@ rather than the first symptom.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = ["ConservationCounters", "InvariantAuditor", "InvariantViolation"]
 
@@ -151,16 +153,16 @@ class InvariantAuditor:
         violations: list[str] = []
         if result.end_time < 0:
             violations.append(f"end time {result.end_time:g} is negative")
-        previous = float("-inf")
-        for index, observation in enumerate(result.observations):
-            if observation.arrival_time < previous:
-                violations.append(
-                    f"observation {index} arrives at "
-                    f"{observation.arrival_time:g}, before its predecessor "
-                    f"at {previous:g} (non-monotone adversary tap)"
-                )
-                break
-            previous = observation.arrival_time
+        delivery = result.delivery
+        arrivals = delivery.arrival_time
+        backwards = np.flatnonzero(arrivals[1:] < arrivals[:-1])
+        if backwards.size:
+            index = int(backwards[0]) + 1
+            violations.append(
+                f"observation {index} arrives at "
+                f"{float(arrivals[index]):g}, before its predecessor "
+                f"at {float(arrivals[index - 1]):g} (non-monotone adversary tap)"
+            )
         for node, stats in result.node_stats.items():
             if stats.observation_time - result.end_time > 1e-9:
                 violations.append(
@@ -173,21 +175,30 @@ class InvariantAuditor:
                     f"node {node} has negative occupancy integral "
                     f"{stats.occupancy_time_integral:g}"
                 )
-        for record in result.records:
-            if record.delivered_at > result.end_time + 1e-9:
-                violations.append(
-                    f"packet ({record.flow_id}, {record.packet_id}) delivered "
-                    f"at {record.delivered_at:g}, after the run end "
-                    f"{result.end_time:g}"
-                )
-                break
+        late = np.flatnonzero(arrivals > result.end_time + 1e-9)
+        if late.size:
+            index = int(late[0])
+            violations.append(
+                f"packet ({int(delivery.flow_id[index])}, "
+                f"{int(delivery.packet_id[index])}) delivered "
+                f"at {float(arrivals[index]):g}, after the run end "
+                f"{result.end_time:g}"
+            )
         return violations
 
     # ------------------------------------------------------------------
     def alignment_violations(self, result) -> list[str]:
-        if len(result.observations) != len(result.records):
+        from repro.sim.results import DELIVERY_COLUMNS
+
+        delivery = result.delivery
+        observations = len(delivery.arrival_time)
+        lengths = {
+            name: len(getattr(delivery, name)) for name in DELIVERY_COLUMNS
+        }
+        if any(length != observations for length in lengths.values()):
             return [
-                f"adversary tap has {len(result.observations)} observations "
-                f"but ground truth has {len(result.records)} records"
+                f"adversary tap has {observations} observations but the "
+                "delivery log's columns disagree: "
+                + ", ".join(f"{name}={length}" for name, length in lengths.items())
             ]
         return []

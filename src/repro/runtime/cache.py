@@ -179,13 +179,16 @@ class ResultCache:
             return None
 
     # ------------------------------------------------------------------
-    def get(self, config: "SimulationConfig") -> "SimulationResult | None":
+    def get(
+        self, config: "SimulationConfig", *, key: str | None = None
+    ) -> "SimulationResult | None":
         """The stored result for ``config``, or None on a miss.
 
-        A corrupted entry (bad checksum, unpicklable, wrong shape) is
-        quarantined and reported as a miss, never raised.
+        ``key`` is ``config``'s :meth:`key_for`, when the caller already
+        has it.  A corrupted entry (bad checksum, unpicklable, wrong
+        shape) is quarantined and reported as a miss, never raised.
         """
-        path = self._path_for(self.key_for(config))
+        path = self._path_for(key if key is not None else self.key_for(config))
         if not path.is_file():
             self.stats.misses += 1
             return None
@@ -201,10 +204,16 @@ class ResultCache:
         return result
 
     def put(
-        self, config: "SimulationConfig", result: "SimulationResult", elapsed: float
+        self,
+        config: "SimulationConfig",
+        result: "SimulationResult",
+        elapsed: float,
+        *,
+        key: str | None = None,
     ) -> None:
-        """Store ``result`` (with its compute time) under ``config``'s key."""
-        path = self._path_for(self.key_for(config))
+        """Store ``result`` (with its compute time) under ``config``'s key
+        (``key``, when the caller already computed it)."""
+        path = self._path_for(key if key is not None else self.key_for(config))
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = pickle.dumps(
             (float(elapsed), result), protocol=pickle.HIGHEST_PROTOCOL

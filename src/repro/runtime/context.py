@@ -174,8 +174,11 @@ def run_simulation(config: "SimulationConfig") -> "SimulationResult":
         from dataclasses import replace
 
         config = replace(config, record_telemetry=True)
+    key = None
     if context.cache is not None:
-        cached = context.cache.get(config)
+        # Fingerprinting walks the whole configuration: once per cell.
+        key = context.cache.key_for(config)
+        cached = context.cache.get(config, key=key)
         if cached is not None:
             _publish_telemetry(context, config, cached)
             return cached
@@ -189,7 +192,7 @@ def run_simulation(config: "SimulationConfig") -> "SimulationResult":
     context.stats.simulations += 1
     context.stats.sim_seconds += elapsed
     if context.cache is not None:
-        context.cache.put(config, result, elapsed)
+        context.cache.put(config, result, elapsed, key=key)
     _publish_telemetry(context, config, result)
     return result
 

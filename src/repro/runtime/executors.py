@@ -25,10 +25,8 @@ from __future__ import annotations
 
 import abc
 import math
-import multiprocessing
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 __all__ = ["Executor", "SerialExecutor", "ParallelExecutor", "WorkerError"]
@@ -116,6 +114,17 @@ _ACTIVE: dict | None = None
 _IN_WORKER = False
 
 
+def __getattr__(name: str):
+    # ``ProcessPoolExecutor`` (and with it ``multiprocessing``) loads on
+    # a parallel map's first use, so a serial run never imports the
+    # pool stack; it stays a module attribute, which tests replace.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _worker_invoke(index: int):
     """Run one item in a forked worker; never raises.
 
@@ -181,17 +190,16 @@ class ParallelExecutor(Executor):
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         global _ACTIVE
         items = list(items)
-        if (
-            _IN_WORKER
-            or _ACTIVE is not None
-            or self.jobs == 1
-            or len(items) <= 1
-            or "fork" not in multiprocessing.get_all_start_methods()
-        ):
+        if _IN_WORKER or _ACTIVE is not None or self.jobs == 1 or len(items) <= 1:
             return SerialExecutor().map(fn, items)
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return SerialExecutor().map(fn, items)
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
         _ACTIVE = {"fn": fn, "items": items}
         try:
-            with ProcessPoolExecutor(
+            with pool_class(
                 max_workers=min(self.jobs, len(items)),
                 mp_context=multiprocessing.get_context("fork"),
             ) as pool:

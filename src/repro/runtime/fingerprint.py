@@ -33,7 +33,9 @@ __all__ = ["stable_fingerprint", "code_salt", "CACHE_FORMAT_VERSION"]
 #: Bump to invalidate every existing cache entry (format changes).
 #: v2: entries framed as ``magic || sha256(payload) || payload`` so
 #: corruption is caught by checksum before unpickling.
-CACHE_FORMAT_VERSION = 2
+#: v3: a result's deliveries are one columnar ``DeliveryLog`` instead
+#: of two lists of per-packet objects.
+CACHE_FORMAT_VERSION = 3
 
 #: Subpackages whose source participates in the code-version salt --
 #: everything that can change what a simulation produces.  Analysis,

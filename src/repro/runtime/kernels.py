@@ -15,12 +15,14 @@ The scalar implementations in :mod:`repro.core.adversary` and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.packet import PacketObservation
+    from repro.sim.results import DeliveryLog
 
 __all__ = [
     "observation_arrays",
@@ -33,13 +35,18 @@ __all__ = [
 
 
 def observation_arrays(
-    observations: Sequence["PacketObservation"],
+    observations: "Sequence[PacketObservation] | DeliveryLog",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columnar view of an observation sequence.
 
     Returns ``(arrival_times, hop_counts, origins)`` -- float64,
-    float64 and int64 arrays aligned with the input order.
+    float64 and int64 arrays aligned with the input order.  A
+    :class:`~repro.sim.results.DeliveryLog` already is columnar and
+    hands over its own columns; only a sequence of
+    :class:`~repro.net.packet.PacketObservation` objects is looped over.
     """
+    if not isinstance(observations, Sequence):
+        return observations.observation_arrays()
     n = len(observations)
     arrivals = np.empty(n, dtype=np.float64)
     hops = np.empty(n, dtype=np.float64)

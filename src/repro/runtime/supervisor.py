@@ -38,12 +38,9 @@ behaviour, not an accident.
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, CancelledError, ProcessPoolExecutor
-from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
@@ -52,6 +49,8 @@ from repro.runtime.executors import WorkerError
 from repro.runtime.journal import SweepJournal, sweep_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.runtime.context import RuntimeContext
 
 __all__ = [
@@ -225,13 +224,18 @@ class Supervisor:
 
     # ------------------------------------------------------------------
     def _parallel_viable(self, n_pending: int) -> bool:
-        return (
-            self.jobs > 1
-            and n_pending > 1
-            and not _executors._IN_WORKER
-            and _executors._ACTIVE is None
-            and "fork" in multiprocessing.get_all_start_methods()
-        )
+        if (
+            self.jobs <= 1
+            or n_pending <= 1
+            or _executors._IN_WORKER
+            or _executors._ACTIVE is not None
+        ):
+            return False
+        # Imported only once a pool is in prospect: serial runs never
+        # load the multiprocessing stack.
+        import multiprocessing
+
+        return "fork" in multiprocessing.get_all_start_methods()
 
     def _record(self, index: int, value: object, results: dict) -> None:
         results[index] = value
@@ -345,6 +349,9 @@ class Supervisor:
         results: dict,
         report: FailureReport,
     ) -> None:
+        from concurrent.futures import FIRST_COMPLETED, CancelledError
+        from concurrent.futures import wait as futures_wait
+
         _executors._ACTIVE = {"fn": fn, "items": items}
         pool: ProcessPoolExecutor | None = None
         inflight: dict = {}
@@ -452,6 +459,9 @@ class Supervisor:
         inflight[future] = (index, deadline)
 
     def _new_pool(self) -> ProcessPoolExecutor | None:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             return ProcessPoolExecutor(
                 max_workers=self.jobs,

@@ -128,22 +128,20 @@ def _score(compiled: CompiledScenario, result) -> tuple[float, float, float]:
         if compiled.advertised_mean_delay > 0
         else NaiveAdversary(knowledge)
     )
-    estimates = adversary.estimate_all(result.observations)
+    delivery = result.delivery
+    estimates = adversary.estimate_all(delivery)
     # Score over *all* flows jointly (summarize_flow is single-flow):
     # the scenario-level privacy figure is the adversary's MSE over
     # every delivered packet in the network.
-    truths = [record.created_at for record in result.records]
-    mse = mse_of_estimator(truths, list(estimates))
-    latency = LatencyStats.from_samples(
-        [record.latency for record in result.records]
-    )
+    mse = mse_of_estimator(delivery.created_at, estimates)
+    latency = LatencyStats.from_samples(delivery.latency())
     return mse, latency.mean, latency.p95
 
 
 def _run_compiled(compiled: CompiledScenario) -> dict:
     result = run_simulation(compiled.config)
     expected = sum(flow.n_packets for flow in compiled.config.flows)
-    delivered = len(result.records)
+    delivered = len(result.delivery)
     if delivered:
         mse, mean_latency, p95_latency = _score(compiled, result)
     else:  # a defense that drops everything still yields a summary row

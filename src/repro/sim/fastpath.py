@@ -59,10 +59,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.metrics import PacketRecord
 from repro.core.victim import ShortestRemainingDelay
-from repro.net.packet import PacketObservation
-from repro.sim.results import DroppedPacket, NodeStats
+from repro.sim.results import DeliveryLog, DroppedPacket, NodeStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.config import SimulationConfig
@@ -188,52 +186,39 @@ def _deliver_all(
     prevhop_of_flow: np.ndarray,
     preemptions: np.ndarray | None,
 ) -> None:
-    """Append observations/records (and latency telemetry) in sink order."""
-    result = sim._result
-    observations = result.observations
-    records = result.records
-    flow_ids = [flow.flow_id for flow in sim.config.flows]
+    """Fill the delivery log (and latency telemetry) in sink order."""
+    flows = sim.config.flows
+    flows_of = flow_of[pkts]
+    flow_ids = [flow.flow_id for flow in flows]
     telemetry = sim.telemetry
     if telemetry is not None and len(times):
         telemetry.registry.counter("sim/delivered").inc(len(times))
         # Histograms come into existence at a flow's first delivery, so
         # a flow that never delivers must not appear in the snapshot.
         histograms: list = [None] * len(flow_ids)
-    else:
-        histograms = None
-    time_list = times.tolist()
-    pkt_list = pkts.tolist()
-    for now, p in zip(time_list, pkt_list):
-        f = flow_of[p]
-        if histograms is not None:
+        for now, p, f in zip(times.tolist(), pkts.tolist(), flows_of.tolist()):
             hist = histograms[f]
             if hist is None:
                 hist = histograms[f] = telemetry.registry.histogram(
                     f"latency/flow-{flow_ids[f]}"
                 )
             hist.observe(now - created[p])
-        observations.append(
-            PacketObservation(
-                arrival_time=now,
-                previous_hop=int(prevhop_of_flow[f]),
-                origin=int(sim.config.flows[f].source),
-                routing_seq=int(routing_seq[p]),
-                hop_count=int(hops_of_flow[f]),
-            )
-        )
-        records.append(
-            PacketRecord(
-                flow_id=flow_ids[f],
-                packet_id=int(packet_id[p]),
-                created_at=float(created[p]),
-                delivered_at=now,
-                hop_count=int(hops_of_flow[f]),
-                preemptions_experienced=(
-                    int(preemptions[p]) if preemptions is not None else 0
-                ),
-            )
-        )
-    sim._counters.delivered = len(time_list)
+    sim._result.delivery = DeliveryLog(
+        arrival_time=times,
+        created_at=created[pkts],
+        flow_id=np.array(flow_ids)[flows_of],
+        packet_id=packet_id[pkts],
+        routing_seq=routing_seq[pkts],
+        hop_count=hops_of_flow[flows_of],
+        previous_hop=prevhop_of_flow[flows_of],
+        origin=np.array([flow.source for flow in flows])[flows_of],
+        preemptions=(
+            preemptions[pkts]
+            if preemptions is not None
+            else np.zeros(len(pkts), dtype=np.int64)
+        ),
+    )
+    sim._counters.delivered = len(times)
 
 
 def _finalize_fast(

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from repro.core.metrics import PacketRecord
 from repro.net.packet import PacketObservation
@@ -12,7 +14,238 @@ from repro.sim.tracing import PacketTrace
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import RunTelemetry
 
-__all__ = ["NodeStats", "DroppedPacket", "SimulationResult"]
+__all__ = [
+    "DELIVERY_COLUMNS",
+    "DeliveryLog",
+    "NodeStats",
+    "DroppedPacket",
+    "SimulationResult",
+]
+
+_FLOAT_COLUMNS = ("arrival_time", "created_at")
+_INT_COLUMNS = (
+    "flow_id",
+    "packet_id",
+    "routing_seq",
+    "hop_count",
+    "previous_hop",
+    "origin",
+    "preemptions",
+)
+DELIVERY_COLUMNS = _FLOAT_COLUMNS + _INT_COLUMNS
+"""Column names of a :class:`DeliveryLog`, in storage order."""
+
+_INT32 = np.iinfo(np.int32)
+
+
+def _float_column(name: str, values: Sequence[float]) -> np.ndarray:
+    column = np.array(values, dtype=np.float64)
+    if column.ndim != 1:
+        raise ValueError(f"delivery log column {name!r} must be one-dimensional")
+    return column
+
+
+def _int_column(name: str, values: Sequence[int]) -> np.ndarray:
+    raw = np.asarray(values)
+    if raw.ndim != 1:
+        raise ValueError(f"delivery log column {name!r} must be one-dimensional")
+    if raw.size == 0:
+        return np.zeros(0, dtype=np.int32)
+    if raw.dtype.kind not in "iu":
+        raise ValueError(
+            f"delivery log column {name!r} must hold integers, got {raw.dtype}"
+        )
+    low, high = raw.min(), raw.max()
+    if low < _INT32.min or high > _INT32.max:
+        bad = low if low < _INT32.min else high
+        raise ValueError(
+            f"delivery log column {name!r} value {int(bad)} does not fit in int32"
+        )
+    return raw.astype(np.int32)
+
+
+class DeliveryLog:
+    """Every delivered packet, one numpy column per field, in sink order.
+
+    Row ``i`` is the ``i``-th packet to reach the sink: what the
+    adversary's tap saw (``arrival_time``, ``previous_hop``, ``origin``,
+    ``routing_seq``, ``hop_count``) beside the simulator's ground truth
+    (``flow_id``, ``packet_id``, ``created_at``, ``preemptions``).
+    ``arrival_time`` and ``created_at`` are float64, the rest int32;
+    construction raises ``ValueError`` naming any column whose values
+    do not fit, and rejects a packet delivered before it was created.
+    The columns are read-only arrays.
+
+    :attr:`observations` and :attr:`records` are tuple views of the same
+    rows as :class:`~repro.net.packet.PacketObservation` and
+    :class:`~repro.core.metrics.PacketRecord` objects, built on first
+    access and never pickled: a pickled log is just its columns.
+
+    Examples
+    --------
+    >>> log = DeliveryLog(
+    ...     arrival_time=[5.0], created_at=[1.0], flow_id=[1], packet_id=[0],
+    ...     routing_seq=[0], hop_count=[4], previous_hop=[3], origin=[9],
+    ...     preemptions=[0])
+    >>> log.records[0].latency
+    4.0
+    >>> log.observations[0].origin
+    9
+    """
+
+    __slots__ = DELIVERY_COLUMNS + ("_observations", "_records")
+
+    arrival_time: np.ndarray
+    created_at: np.ndarray
+    flow_id: np.ndarray
+    packet_id: np.ndarray
+    routing_seq: np.ndarray
+    hop_count: np.ndarray
+    previous_hop: np.ndarray
+    origin: np.ndarray
+    preemptions: np.ndarray
+
+    def __init__(
+        self,
+        *,
+        arrival_time: Sequence[float] = (),
+        created_at: Sequence[float] = (),
+        flow_id: Sequence[int] = (),
+        packet_id: Sequence[int] = (),
+        routing_seq: Sequence[int] = (),
+        hop_count: Sequence[int] = (),
+        previous_hop: Sequence[int] = (),
+        origin: Sequence[int] = (),
+        preemptions: Sequence[int] = (),
+    ) -> None:
+        given = {
+            "arrival_time": arrival_time,
+            "created_at": created_at,
+            "flow_id": flow_id,
+            "packet_id": packet_id,
+            "routing_seq": routing_seq,
+            "hop_count": hop_count,
+            "previous_hop": previous_hop,
+            "origin": origin,
+            "preemptions": preemptions,
+        }
+        columns = [
+            _float_column(name, given[name])
+            if name in _FLOAT_COLUMNS
+            else _int_column(name, given[name])
+            for name in DELIVERY_COLUMNS
+        ]
+        size = len(columns[0])
+        for name, column in zip(DELIVERY_COLUMNS, columns):
+            if len(column) != size:
+                raise ValueError(
+                    f"delivery log column {name!r} has {len(column)} rows, "
+                    f"but {DELIVERY_COLUMNS[0]!r} has {size}"
+                )
+        self.__setstate__(columns)
+        late = self.arrival_time < self.created_at
+        if late.any():
+            first = int(np.argmax(late))
+            raise ValueError(
+                f"packet delivered at {float(self.arrival_time[first]):g} "
+                f"before being created at {float(self.created_at[first]):g}"
+            )
+
+    # --- pickling: the columns only, never the views -------------------
+    def __getstate__(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in DELIVERY_COLUMNS)
+
+    def __setstate__(self, state: Sequence[np.ndarray]) -> None:
+        if len(state) != len(DELIVERY_COLUMNS):
+            raise ValueError(
+                f"a delivery log has {len(DELIVERY_COLUMNS)} columns, got {len(state)}"
+            )
+        for name, column in zip(DELIVERY_COLUMNS, state):
+            column.flags.writeable = False
+            setattr(self, name, column)
+        self._observations = None
+        self._records = None
+
+    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self.arrival_time)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DeliveryLog):
+            return NotImplemented
+        return all(
+            getattr(self, name).dtype == getattr(other, name).dtype
+            and np.array_equal(getattr(self, name), getattr(other, name))
+            for name in DELIVERY_COLUMNS
+        )
+
+    def __repr__(self) -> str:
+        return f"DeliveryLog({len(self)} deliveries)"
+
+    @property
+    def observations(self) -> tuple[PacketObservation, ...]:
+        """The adversary's view of every delivery, as objects."""
+        if self._observations is None:
+            self._observations = tuple(
+                PacketObservation(
+                    arrival_time=arrival,
+                    previous_hop=previous,
+                    origin=origin,
+                    routing_seq=seq,
+                    hop_count=hops,
+                )
+                for arrival, previous, origin, seq, hops in zip(
+                    self.arrival_time.tolist(),
+                    self.previous_hop.tolist(),
+                    self.origin.tolist(),
+                    self.routing_seq.tolist(),
+                    self.hop_count.tolist(),
+                )
+            )
+        return self._observations
+
+    @property
+    def records(self) -> tuple[PacketRecord, ...]:
+        """The ground truth of every delivery, as objects."""
+        if self._records is None:
+            self._records = tuple(
+                PacketRecord(
+                    flow_id=flow,
+                    packet_id=packet,
+                    created_at=created,
+                    delivered_at=arrival,
+                    hop_count=hops,
+                    preemptions_experienced=preempted,
+                )
+                for flow, packet, created, arrival, hops, preempted in zip(
+                    self.flow_id.tolist(),
+                    self.packet_id.tolist(),
+                    self.created_at.tolist(),
+                    self.arrival_time.tolist(),
+                    self.hop_count.tolist(),
+                    self.preemptions.tolist(),
+                )
+            )
+        return self._records
+
+    def observation_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(arrival_times, hop_counts, origins)`` as float64, float64 and
+        int64 -- the layout of :func:`repro.runtime.kernels.observation_arrays`."""
+        return (
+            self.arrival_time,
+            self.hop_count.astype(np.float64),
+            self.origin.astype(np.int64),
+        )
+
+    def latency(self) -> np.ndarray:
+        """End-to-end latency of every delivery (``arrival - created``)."""
+        return self.arrival_time - self.created_at
+
+    def take(self, indices: Sequence[int] | np.ndarray) -> "DeliveryLog":
+        """The sub-log of the given rows, in the given order."""
+        return DeliveryLog(
+            **{name: getattr(self, name)[indices] for name in DELIVERY_COLUMNS}
+        )
 
 
 @dataclass(slots=True)
@@ -55,15 +288,14 @@ class DroppedPacket:
 class SimulationResult:
     """Everything a run produced.
 
-    ``observations`` and ``records`` are aligned index-by-index and
-    sorted by arrival time: ``observations[i]`` is the adversary's view
-    of the packet whose ground truth is ``records[i]``.  Keeping both
-    in the interleaved arrival order preserves exactly what a stateful
+    ``delivery`` holds every packet that reached the sink, sorted by
+    arrival time; ``observations[i]`` is the adversary's view of the
+    packet whose ground truth is ``records[i]``.  Keeping both in the
+    interleaved arrival order preserves exactly what a stateful
     (adaptive) adversary gets to see.
     """
 
-    observations: list[PacketObservation] = field(default_factory=list)
-    records: list[PacketRecord] = field(default_factory=list)
+    delivery: DeliveryLog = field(default_factory=DeliveryLog)
     node_stats: dict[int, NodeStats] = field(default_factory=dict)
     dropped: list[DroppedPacket] = field(default_factory=list)
     transmissions: list[tuple[float, int, int]] = field(default_factory=list)
@@ -100,29 +332,41 @@ class SimulationResult:
     simulated time, so it caches and pickles with the result."""
 
     # ------------------------------------------------------------------
+    @property
+    def observations(self) -> tuple[PacketObservation, ...]:
+        """Read-only object view of the adversary's tap (see
+        :attr:`DeliveryLog.observations`)."""
+        return self.delivery.observations
+
+    @property
+    def records(self) -> tuple[PacketRecord, ...]:
+        """Read-only object view of the ground truth (see
+        :attr:`DeliveryLog.records`)."""
+        return self.delivery.records
+
     def flow_ids(self) -> list[int]:
         """Distinct flow ids present in the delivery log."""
-        return sorted({record.flow_id for record in self.records})
+        return np.unique(self.delivery.flow_id).tolist()
 
     def flow_indices(self, flow_id: int) -> list[int]:
         """Positions of one flow's packets within the arrival order."""
-        return [i for i, record in enumerate(self.records) if record.flow_id == flow_id]
+        return np.flatnonzero(self.delivery.flow_id == flow_id).tolist()
 
     def flow_records(self, flow_id: int) -> list[PacketRecord]:
         """One flow's delivered packets, in arrival order."""
-        return [r for r in self.records if r.flow_id == flow_id]
+        records = self.records
+        return [records[i] for i in self.flow_indices(flow_id)]
 
     def flow_observations(self, flow_id: int) -> list[PacketObservation]:
         """One flow's observations, in arrival order."""
-        return [
-            self.observations[i] for i in self.flow_indices(flow_id)
-        ]
+        observations = self.observations
+        return [observations[i] for i in self.flow_indices(flow_id)]
 
     def delivered_count(self, flow_id: int | None = None) -> int:
         """Packets delivered (optionally restricted to one flow)."""
         if flow_id is None:
-            return len(self.records)
-        return len(self.flow_records(flow_id))
+            return len(self.delivery)
+        return int(np.count_nonzero(self.delivery.flow_id == flow_id))
 
     def drop_count(self, flow_id: int | None = None) -> int:
         """Packets dropped (optionally restricted to one flow)."""
@@ -152,7 +396,11 @@ class SimulationResult:
 
     def mean_latency(self, flow_id: int | None = None) -> float:
         """Average end-to-end latency, over all or one flow's packets."""
-        records = self.records if flow_id is None else self.flow_records(flow_id)
-        if not records:
+        latency = self.delivery.latency()
+        if flow_id is not None:
+            latency = latency[self.delivery.flow_id == flow_id]
+        if not latency.size:
             raise ValueError(f"no delivered packets for flow {flow_id!r}")
-        return float(sum(r.latency for r in records) / len(records))
+        # A sequential Python fold, as over the per-packet objects:
+        # np.sum's pairwise summation would round differently.
+        return float(sum(latency.tolist()) / latency.size)

@@ -42,7 +42,6 @@ from repro.core.buffers import (
     PacketBuffer,
     RcadBuffer,
 )
-from repro.core.metrics import PacketRecord
 from repro.core.privacy_core import CoreAction, TemporalPrivacyCore
 from repro.crypto.keys import KeyManager
 from repro.crypto.payload import PayloadCodec, SensorReading
@@ -54,7 +53,13 @@ from repro.net.link import ConstantDelayLink, LossyLink
 from repro.net.packet import Packet, RoutingHeader
 from repro.net.routing import backup_parents
 from repro.sim.config import SimulationConfig
-from repro.sim.results import DroppedPacket, NodeStats, SimulationResult
+from repro.sim.results import (
+    DELIVERY_COLUMNS,
+    DeliveryLog,
+    DroppedPacket,
+    NodeStats,
+    SimulationResult,
+)
 from repro.telemetry import RunTelemetry
 
 __all__ = ["SensorNetworkSimulator"]
@@ -128,6 +133,9 @@ class SensorNetworkSimulator:
         self._sim = Simulator()
         self._rng = RngRegistry(config.seed)
         self._result = SimulationResult()
+        self._delivery_columns: dict[str, list] = {
+            name: [] for name in DELIVERY_COLUMNS
+        }
         self._nodes: dict[int, _NodeState] = {}
         self._codec = (
             PayloadCodec(KeyManager(_MASTER_KEY)) if config.seal_payloads else None
@@ -688,17 +696,17 @@ class SensorNetworkSimulator:
                 f"latency/flow-{packet.flow_id}"
             ).observe(now - packet.created_at)
         self._trace(transit, "delivered", self.config.deployment.sink)
-        self._result.observations.append(packet.observe(arrival_time=now))
-        self._result.records.append(
-            PacketRecord(
-                flow_id=packet.flow_id,
-                packet_id=packet.packet_id,
-                created_at=packet.created_at,
-                delivered_at=now,
-                hop_count=packet.header.hop_count,
-                preemptions_experienced=transit.preemptions,
-            )
-        )
+        header = packet.header
+        columns = self._delivery_columns
+        columns["arrival_time"].append(now)
+        columns["created_at"].append(packet.created_at)
+        columns["flow_id"].append(packet.flow_id)
+        columns["packet_id"].append(packet.packet_id)
+        columns["routing_seq"].append(header.routing_seq)
+        columns["hop_count"].append(header.hop_count)
+        columns["previous_hop"].append(header.previous_hop)
+        columns["origin"].append(header.origin)
+        columns["preemptions"].append(transit.preemptions)
 
     # ------------------------------------------------------------------
     def _finalize(self) -> None:
@@ -706,6 +714,7 @@ class SensorNetworkSimulator:
         # the clock at the safety horizon, which would dilute every
         # time-averaged statistic.
         end = self._sim.last_event_time
+        self._result.delivery = DeliveryLog(**self._delivery_columns)
         for node, state in self._nodes.items():
             state.track_occupancy(end, state.buffer.occupancy)
             state.stats.observation_time = end

@@ -2,9 +2,10 @@
 
 A cold ``repro fig2`` calls nothing from scipy, networkx or asyncio, so
 importing it must not load them either: each costs more start-up time
-than the figure's own simulations at reduced scale.  The heavy imports
-live inside the functions that use them, and ``repro.runtime`` resolves
-its fabric/transport/chaos names lazily.  See DESIGN.md, "Import
+than the figure's own simulations at reduced scale.  Likewise a serial
+run never builds a process pool, so it must not load ``multiprocessing``.
+The heavy imports live inside the functions that use them, and
+``repro.runtime`` resolves its fabric/transport/chaos names lazily.  See DESIGN.md, "Import
 discipline".
 """
 
@@ -26,6 +27,8 @@ FORBIDDEN = (
     "scipy",
     "networkx",
     "asyncio",
+    "multiprocessing",
+    "concurrent.futures.process",
     "repro.runtime.fabric",
     "repro.runtime.transport",
     "repro.runtime.chaosnet",
@@ -72,6 +75,36 @@ def test_fig2_scenarios_sim_load_no_heavy_modules(tmp_path):
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["import"] == [], f"loaded at import: {report['import']}"
     assert report["run"] == [], f"loaded by figure2(): {report['run']}"
+
+
+_PARALLEL_PROBE = """
+import json, sys
+from repro.analysis.sweep import sweep
+from repro.runtime import use_runtime
+
+with use_runtime(jobs=1):
+    sweep([1, 2, 3], abs)
+serial = "multiprocessing" in sys.modules
+with use_runtime(jobs=2):
+    assert sweep([1, 2, 3], abs) == [1, 2, 3]
+print(json.dumps({"serial": serial, "parallel": "multiprocessing" in sys.modules}))
+"""
+
+
+def test_pool_stack_loads_on_first_parallel_map():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PARALLEL_PROBE],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report == {"serial": False, "parallel": True}
 
 
 class TestLazyRuntimeNames:

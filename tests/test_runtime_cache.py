@@ -288,6 +288,28 @@ class TestRunSimulationCaching:
             r.delivered_at for r in first.records
         ]
 
+    def test_cold_cell_fingerprints_its_config_once(self, tmp_path, monkeypatch):
+        import repro.runtime.cache as cache_module
+
+        calls = []
+        original = cache_module.stable_fingerprint
+
+        def counting(obj):
+            calls.append(obj)
+            return original(obj)
+
+        monkeypatch.setattr(cache_module, "stable_fingerprint", counting)
+        with use_runtime(cache_dir=tmp_path) as cold:
+            run_simulation(_config())
+        assert cold.cache.stats.misses == 1 and cold.cache.stats.stores == 1
+        assert len(calls) == 1  # shared by the miss and the store
+
+        calls.clear()
+        with use_runtime(cache_dir=tmp_path) as warm:
+            run_simulation(_config())
+        assert warm.cache.stats.hits == 1
+        assert len(calls) == 1
+
     def test_no_cache_context_never_touches_disk(self, tmp_path):
         config = _config()
         with use_runtime() as ctx:

@@ -1,27 +1,36 @@
 """Tests for the post-run invariant auditor."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.faults import ConservationCounters, InvariantAuditor, InvariantViolation
 from repro.sim.config import SimulationConfig
+from repro.sim.results import DeliveryLog, NodeStats, SimulationResult
 from repro.sim.simulator import SensorNetworkSimulator
 
 
+def _delivery(arrivals=(1.0, 2.0, 2.0, 50.0)):
+    n = len(arrivals)
+    return DeliveryLog(
+        arrival_time=arrivals,
+        created_at=[0.0] * n,
+        flow_id=[1] * n,
+        packet_id=range(n),
+        routing_seq=range(n),
+        hop_count=[1] * n,
+        previous_hop=[0] * n,
+        origin=[0] * n,
+        preemptions=[0] * n,
+    )
+
+
 def _clean_result(end_time=100.0):
-    """A minimal duck-typed result that satisfies every clock check."""
-    return SimpleNamespace(
+    """A minimal result that satisfies every clock check."""
+    return SimulationResult(
+        delivery=_delivery(),
         end_time=end_time,
-        observations=[
-            SimpleNamespace(arrival_time=t) for t in (1.0, 2.0, 2.0, 50.0)
-        ],
-        records=[
-            SimpleNamespace(flow_id=1, packet_id=i, delivered_at=t)
-            for i, t in enumerate((1.0, 2.0, 2.0, 50.0))
-        ],
         node_stats={
-            7: SimpleNamespace(observation_time=end_time, occupancy_time_integral=3.5)
+            7: NodeStats(node_id=7, observation_time=end_time,
+                         occupancy_time_integral=3.5)
         },
     )
 
@@ -74,7 +83,7 @@ class TestConservationChecks:
 class TestClockChecks:
     def test_non_monotone_observations_detected(self):
         result = _clean_result()
-        result.observations[2] = SimpleNamespace(arrival_time=1.5)
+        result.delivery = _delivery(arrivals=(1.0, 2.0, 1.5, 50.0))
         violations = InvariantAuditor(_balanced_counters()).clock_violations(result)
         assert any("non-monotone" in v for v in violations)
 
@@ -99,7 +108,7 @@ class TestClockChecks:
 class TestAlignmentCheck:
     def test_tap_and_truth_must_align(self):
         result = _clean_result()
-        result.records = result.records[:-1]
+        result.delivery.created_at = result.delivery.created_at[:-1]
         violations = InvariantAuditor(_balanced_counters()).alignment_violations(
             result
         )

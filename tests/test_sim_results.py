@@ -2,31 +2,24 @@
 
 import pytest
 
-from repro.core.metrics import PacketRecord
-from repro.net.packet import PacketObservation
-from repro.sim.results import DroppedPacket, NodeStats, SimulationResult
-
-
-def _record(flow_id, created, delivered, packet_id=0):
-    return PacketRecord(
-        flow_id=flow_id, packet_id=packet_id, created_at=created,
-        delivered_at=delivered, hop_count=3,
-    )
-
-
-def _obs(arrival):
-    return PacketObservation(
-        arrival_time=arrival, previous_hop=0, origin=0, routing_seq=0, hop_count=3
-    )
+from repro.sim.results import DeliveryLog, DroppedPacket, NodeStats, SimulationResult
 
 
 def _result():
-    result = SimulationResult()
-    for i, (flow, created, delivered) in enumerate(
-        [(1, 0.0, 5.0), (2, 1.0, 6.0), (1, 2.0, 9.0)]
-    ):
-        result.records.append(_record(flow, created, delivered, packet_id=i))
-        result.observations.append(_obs(delivered))
+    rows = [(1, 0.0, 5.0), (2, 1.0, 6.0), (1, 2.0, 9.0)]
+    result = SimulationResult(
+        delivery=DeliveryLog(
+            arrival_time=[delivered for _, _, delivered in rows],
+            created_at=[created for _, created, _ in rows],
+            flow_id=[flow for flow, _, _ in rows],
+            packet_id=range(len(rows)),
+            routing_seq=[0] * len(rows),
+            hop_count=[3] * len(rows),
+            previous_hop=[0] * len(rows),
+            origin=[0] * len(rows),
+            preemptions=[0] * len(rows),
+        )
+    )
     result.dropped.append(
         DroppedPacket(flow_id=2, packet_id=9, created_at=3.0,
                       dropped_at=4.0, dropped_by=7)
