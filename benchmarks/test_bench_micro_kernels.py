@@ -19,6 +19,7 @@ from repro.experiments.common import build_adversary, run_paper_case
 from repro.infotheory.estimators import ksg_mutual_information
 from repro.queueing.erlang import erlang_b
 from repro.runtime import kernels
+from tests.oracles import estimate_all_scalar
 
 
 def test_des_event_throughput(benchmark):
@@ -90,8 +91,8 @@ def test_ksg_estimator_throughput(benchmark):
 
 # ----------------------------------------------------------------------
 # Vectorized vs scalar adversary scoring.  One RCAD observation stream
-# is scored through the numpy batch path and the preserved scalar
-# oracle; BENCH_runtime.json records both timings side by side.
+# is scored through the numpy batch path and the scalar oracle in
+# tests/oracles.py; BENCH_runtime.json records both timings side by side.
 
 @pytest.fixture(scope="module")
 def rcad_observations():
@@ -117,7 +118,7 @@ def test_adversary_estimate_all_scalar(benchmark, rcad_observations, kind):
 
     def run():
         adversary.reset()
-        return adversary.estimate_all_scalar(rcad_observations)
+        return estimate_all_scalar(adversary, rcad_observations)
 
     estimates = benchmark(run)
     assert len(estimates) == len(rcad_observations)

@@ -81,6 +81,26 @@ __all__ = ["main", "build_parser"]
 _SIMULATION_COMMANDS = ("fig2", "fig3", "run", "chaos", "scenarios", "sweep-fabric")
 
 
+def _int_at_least(minimum: int, requirement: str):
+    """argparse type: an integer of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
+        return value
+
+    return parse
+
+
+#: the types of every verb's ``--packets`` and ``--seed``
+_positive_int = _int_at_least(1, "at least 1")
+_seed = _int_at_least(0, "non-negative")
+
+
 def _add_runtime_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--jobs", type=int, default=1, metavar="N",
@@ -149,10 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sub = commands.add_parser(name, help=help_text)
         sub.add_argument(
-            "--packets", type=int, default=1000,
+            "--packets", type=_positive_int, default=1000,
             help="packets per source (paper: 1000)",
         )
-        sub.add_argument("--seed", type=int, default=0, help="root random seed")
+        sub.add_argument("--seed", type=_seed, default=0, help="root random seed")
         sub.add_argument(
             "--interarrivals", type=str, default="2,4,6,8,10,12,14,16,18,20",
             help="comma-separated 1/lambda sweep values",
@@ -188,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--adversary", choices=("naive", "baseline", "adaptive"), default="baseline"
     )
     run.add_argument("--interarrival", type=float, default=2.0)
-    run.add_argument("--packets", type=int, default=1000)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--packets", type=_positive_int, default=1000)
+    run.add_argument("--seed", type=_seed, default=0)
     run.add_argument("--flow", type=int, default=1, help="flow id to score (1..4)")
     run.add_argument(
         "--traffic", choices=("periodic", "poisson"), default="periodic",
@@ -204,11 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
         "jitter, duplication, crashes and ARQ",
     )
     chaos.add_argument(
-        "--packets", type=int, default=300,
+        "--packets", type=_positive_int, default=300,
         help="packets per source (smaller than the paper's 1000: the sweep "
         "runs many cells)",
     )
-    chaos.add_argument("--seed", type=int, default=0, help="root random seed")
+    chaos.add_argument("--seed", type=_seed, default=0, help="root random seed")
     chaos.add_argument(
         "--intensities", type=str, default="0,0.25,0.5,1.0",
         help="comma-separated fault intensity values in [0, 1]",
@@ -310,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mean-delay", type=float, default=0.05,
         help="mean exponential added delay in seconds",
     )
-    serve.add_argument("--seed", type=int, default=0, help="root random seed")
+    serve.add_argument("--seed", type=_seed, default=0, help="root random seed")
     serve.add_argument(
         "--rate", type=float, default=500.0, help="mean offered events/second"
     )
@@ -360,10 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
         "fabric (lease-based coordinator + worker processes)",
     )
     fabric.add_argument(
-        "--packets", type=int, default=1000,
+        "--packets", type=_positive_int, default=1000,
         help="packets per source (paper: 1000)",
     )
-    fabric.add_argument("--seed", type=int, default=0, help="root random seed")
+    fabric.add_argument("--seed", type=_seed, default=0, help="root random seed")
     fabric.add_argument(
         "--interarrivals", type=str, default="2,4,6,8,10,12,14,16,18,20",
         help="comma-separated 1/lambda sweep values",

@@ -111,8 +111,8 @@ class Adversary(abc.ABC):
         to the adversary's numpy batch kernel (:meth:`_estimate_batch`)
         when one exists; adversaries without one fall back to the
         per-observation scalar loop.  Both paths produce identical
-        estimates -- :meth:`estimate_all_scalar` is kept as the explicit
-        oracle the equivalence tests compare against.
+        estimates (``tests/oracles.py`` keeps the scalar loop as the
+        oracle the equivalence tests compare against).
         """
         if not len(observations):
             return []
@@ -124,22 +124,6 @@ class Adversary(abc.ABC):
                 observations = observations.observations
             return [self.estimate(observation) for observation in observations]
         return batch.tolist()
-
-    def estimate_all_scalar(
-        self, observations: list[PacketObservation]
-    ) -> list[float]:
-        """The original per-observation loop (oracle for the batch path)."""
-        previous = -float("inf")
-        estimates = []
-        for observation in observations:
-            if observation.arrival_time < previous:
-                raise ValueError(
-                    "observations must be supplied in arrival order; "
-                    f"{observation.arrival_time:g} after {previous:g}"
-                )
-            previous = observation.arrival_time
-            estimates.append(self.estimate(observation))
-        return estimates
 
     @staticmethod
     def _check_arrival_order(arrivals: np.ndarray) -> None:

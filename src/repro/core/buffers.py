@@ -17,6 +17,13 @@ delay.  Three disciplines, matching the paper's three evaluation cases:
   :mod:`repro.core.victim`), which is what makes preemption order
   replay-stable across a snapshot/restore cycle.
 
+This module is the only code that orders releases and chooses victims.
+A buffer keeps its live entries in admission order plus a
+``(release_time, entry_id)`` heap; releases leave from the heap head
+and each victim policy is a key on the two (:data:`_VICTIM_RULES`).
+The event engine and the service drive a buffer packet by packet; the
+fast path hands a node's whole arrival batch to :func:`replay`.
+
 The buffers are pure decision structures: they track occupancy and
 decide admissions, but event scheduling stays in the simulator, which
 keeps this module independently unit-testable.
@@ -24,11 +31,13 @@ keeps this module independently unit-testable.
 
 from __future__ import annotations
 
-import abc
+import itertools
+import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Sequence
+from heapq import heappop, heappush, heapreplace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -42,6 +51,8 @@ __all__ = [
     "InfiniteBuffer",
     "DropTailBuffer",
     "RcadBuffer",
+    "Replay",
+    "replay",
 ]
 
 
@@ -128,11 +139,22 @@ _PROBE_EVENTS = {
 }
 
 
-class PacketBuffer(abc.ABC):
-    """Interface shared by all buffer disciplines."""
+class PacketBuffer:
+    """Occupancy, release order and admission shared by all disciplines.
 
-    def __init__(self) -> None:
+    A buffer whose ``capacity`` is None never fills.  A full bounded
+    buffer asks :meth:`_choose_victim` which entry to evict for the
+    arrival; the default answer, None, drops the arrival instead.
+    """
+
+    def __init__(self, capacity: int | None = None) -> None:
+        self._capacity = None if capacity is None else _validated_capacity(capacity)
+        #: live entries by id, in admission order
         self._entries: dict[int, BufferedEntry] = {}
+        #: ``(release_time, entry_id)`` of the live entries, plus ids that
+        #: left out of heap order (victims, event-engine releases after
+        #: crash recovery), discarded as they surface: the head is live.
+        self._heap: list[tuple[float, int]] = []
         self._next_id = 0
         self.admitted_count = 0
         self.dropped_count = 0
@@ -146,6 +168,11 @@ class PacketBuffer(abc.ABC):
 
     # ------------------------------------------------------------------
     @property
+    def capacity(self) -> int | None:
+        """Buffer slots, or None for an unbounded buffer."""
+        return self._capacity
+
+    @property
     def occupancy(self) -> int:
         """Number of packets currently buffered."""
         return len(self._entries)
@@ -155,14 +182,9 @@ class PacketBuffer(abc.ABC):
         return list(self._entries.values())
 
     @property
-    @abc.abstractmethod
-    def capacity(self) -> int | None:
-        """Buffer slots, or None for an unbounded buffer."""
-
-    @property
     def is_full(self) -> bool:
         """True if no free slot remains."""
-        return self.capacity is not None and self.occupancy >= self.capacity
+        return self._capacity is not None and len(self._entries) >= self._capacity
 
     # ------------------------------------------------------------------
     def offer(
@@ -179,44 +201,65 @@ class PacketBuffer(abc.ABC):
         payload:
             Opaque packet object.
         arrival_time:
-            Current simulation time.
+            Current simulation time.  The event engine, the service and
+            the fast path all offer packets in time order, so admission
+            order is arrival order.
         release_time:
             When the packet's artificial delay would expire
             (``arrival_time + sampled delay``).
         rng:
-            Random stream, needed only by stochastic victim policies.
+            The victim stream; stochastic victim policies need it.
         """
         if release_time < arrival_time:
             raise ValueError(
                 f"release time {release_time:g} precedes arrival {arrival_time:g}"
             )
-        result = self._admit(payload, arrival_time, release_time, rng)
-        if result.outcome is AdmissionOutcome.DROPPED:
-            self.dropped_count += 1
-        else:
-            self.admitted_count += 1
-            if result.outcome is AdmissionOutcome.PREEMPTED_VICTIM:
-                self.preemption_count += 1
-        self.peak_occupancy = max(self.peak_occupancy, self.occupancy)
-        if self.telemetry_probe is not None:
-            self.telemetry_probe(_PROBE_EVENTS[result.outcome], self.occupancy)
-        return result
+        victim = None
+        if self.is_full:
+            victim_id = self._choose_victim(rng)
+            if victim_id is None:
+                self.dropped_count += 1
+                return self._report(
+                    AdmissionResult(AdmissionOutcome.DROPPED, entry=None, victim=None)
+                )
+            victim = self._remove(victim_id)
+            self.preemption_count += 1
+        entry = self._store(payload, arrival_time, release_time)
+        self.admitted_count += 1
+        self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
+        outcome = (
+            AdmissionOutcome.ADMITTED
+            if victim is None
+            else AdmissionOutcome.PREEMPTED_VICTIM
+        )
+        return self._report(AdmissionResult(outcome, entry, victim))
 
     def release(self, entry_id: int) -> BufferedEntry:
         """Remove and return the entry whose delay expired (or victim)."""
         try:
-            entry = self._entries.pop(entry_id)
+            entry = self._remove(entry_id)
         except KeyError:
             raise KeyError(f"no buffered entry with id {entry_id}")
         if self.telemetry_probe is not None:
             self.telemetry_probe("release", self.occupancy)
         return entry
 
+    def poll_due(self, now: float) -> list[BufferedEntry]:
+        """Release and return every entry due at or before ``now``.
+
+        Entries come back ordered by ``(release_time, entry_id)``, so a
+        polling caller emits releases in exactly the order an
+        event-driven simulation would have.
+        """
+        heap = self._heap
+        due = []
+        while heap and heap[0][0] <= now:
+            due.append(self.release(heap[0][1]))
+        return due
+
     def shortest_remaining_release_time(self) -> float | None:
         """Earliest scheduled release among buffered packets, if any."""
-        if not self._entries:
-            return None
-        return min(entry.release_time for entry in self._entries.values())
+        return self._heap[0][0] if self._heap else None
 
     def restore_entry(
         self, payload: Any, arrival_time: float, release_time: float
@@ -245,15 +288,14 @@ class PacketBuffer(abc.ABC):
         return entry
 
     # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def _admit(
-        self,
-        payload: Any,
-        arrival_time: float,
-        release_time: float,
-        rng: np.random.Generator | None,
-    ) -> AdmissionResult:
-        """Discipline-specific admission decision."""
+    def _choose_victim(self, rng: np.random.Generator | None) -> int | None:
+        """Entry id to evict from the full buffer, or None to drop."""
+        return None
+
+    def _report(self, result: AdmissionResult) -> AdmissionResult:
+        if self.telemetry_probe is not None:
+            self.telemetry_probe(_PROBE_EVENTS[result.outcome], self.occupancy)
+        return result
 
     def _store(self, payload: Any, arrival_time: float, release_time: float) -> BufferedEntry:
         entry = BufferedEntry(
@@ -264,6 +306,14 @@ class PacketBuffer(abc.ABC):
         )
         self._next_id += 1
         self._entries[entry.entry_id] = entry
+        heappush(self._heap, (release_time, entry.entry_id))
+        return entry
+
+    def _remove(self, entry_id: int) -> BufferedEntry:
+        entries, heap = self._entries, self._heap
+        entry = entries.pop(entry_id)
+        while heap and heap[0][1] not in entries:
+            heappop(heap)
         return entry
 
 
@@ -274,31 +324,33 @@ class InfiniteBuffer(PacketBuffer):
     M/M/infinity queue when arrivals are Poisson and delays exponential.
     """
 
-    @property
-    def capacity(self) -> None:
-        return None
-
-    def _admit(self, payload, arrival_time, release_time, rng):
-        entry = self._store(payload, arrival_time, release_time)
-        return AdmissionResult(AdmissionOutcome.ADMITTED, entry, victim=None)
+    def __init__(self) -> None:
+        super().__init__(capacity=None)
 
 
 class DropTailBuffer(PacketBuffer):
     """Bounded buffer that drops arrivals when full (M/M/k/k loss)."""
 
     def __init__(self, capacity: int) -> None:
-        super().__init__()
-        self._capacity = _validated_capacity(capacity)
+        super().__init__(capacity)
 
-    @property
-    def capacity(self) -> int:
-        return self._capacity
 
-    def _admit(self, payload, arrival_time, release_time, rng):
-        if self.is_full:
-            return AdmissionResult(AdmissionOutcome.DROPPED, entry=None, victim=None)
-        entry = self._store(payload, arrival_time, release_time)
-        return AdmissionResult(AdmissionOutcome.ADMITTED, entry, victim=None)
+#: Victim policy name -> rule ``(entries, heap, rng) -> entry_id`` over a
+#: full buffer's admission-ordered live entries and release heap (whose
+#: head is live).  Admission order is arrival order, so the oldest and
+#: newest arrivals are the first and last live ids; ``random`` draws one
+#: index over the live entries in admission order.
+_VICTIM_RULES: dict[str, Callable[..., int]] = {
+    "shortest-remaining": lambda entries, heap, rng: heap[0][1],
+    "longest-remaining": lambda entries, heap, rng: max(
+        entries.values(), key=lambda e: (e.release_time, -e.entry_id)
+    ).entry_id,
+    "oldest-arrival": lambda entries, heap, rng: next(iter(entries)),
+    "newest-arrival": lambda entries, heap, rng: next(reversed(entries)),
+    "random": lambda entries, heap, rng: next(
+        itertools.islice(entries, int(rng.integers(len(entries))), None)
+    ),
+}
 
 
 class RcadBuffer(PacketBuffer):
@@ -317,7 +369,9 @@ class RcadBuffer(PacketBuffer):
         motes).
     victim_policy:
         How to choose the packet to transmit early; defaults to the
-        paper's shortest-remaining-delay rule.
+        paper's shortest-remaining-delay rule.  A stochastic policy
+        needs a victim stream: an :meth:`offer` that preempts must pass
+        ``rng``.
 
     Examples
     --------
@@ -333,31 +387,164 @@ class RcadBuffer(PacketBuffer):
     def __init__(
         self, capacity: int, victim_policy: VictimPolicy | None = None
     ) -> None:
-        super().__init__()
-        self._capacity = _validated_capacity(capacity)
+        super().__init__(capacity)
         self.victim_policy = victim_policy or ShortestRemainingDelay()
+        try:
+            self._victim_rule = _VICTIM_RULES[self.victim_policy.name]
+        except KeyError:
+            raise ValueError(
+                f"unknown victim policy {self.victim_policy.name!r}; "
+                f"available: {sorted(_VICTIM_RULES)}"
+            ) from None
 
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    def _admit(self, payload, arrival_time, release_time, rng):
-        victim = None
-        if self.is_full:
-            victim = self.victim_policy.select(
-                self.entries(), now=arrival_time, rng=rng or _DEFAULT_RNG
+    def _choose_victim(self, rng):
+        if rng is None and self.victim_policy.stochastic:
+            raise ValueError(
+                f"victim policy {self.victim_policy.name!r} draws from the "
+                "victim stream, but none was given: pass rng= to offer() "
+                "(TemporalPrivacyCore: victim_rng=)"
             )
-            del self._entries[victim.entry_id]
-        entry = self._store(payload, arrival_time, release_time)
-        outcome = (
-            AdmissionOutcome.PREEMPTED_VICTIM
-            if victim is not None
-            else AdmissionOutcome.ADMITTED
-        )
-        return AdmissionResult(outcome, entry, victim=victim)
+        return self._victim_rule(self._entries, self._heap, rng)
 
 
-# Deterministic fall-back stream for victim policies that never use it
-# (every deterministic policy); stochastic policies should always be
-# given an explicit stream by the caller.
-_DEFAULT_RNG = np.random.Generator(np.random.PCG64(0))
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Replay:
+    """What a buffer did with one arrival batch (see :func:`replay`).
+
+    Packets are named by their index in the batch.  ``departures`` lists
+    every packet that left (releases and victims) in leaving order;
+    ``victims[k]`` was evicted by the arrival of ``preemptors[k]``; and
+    ``occupancy`` is the occupancy after each arrival and release, at
+    ``event_times``.  The rest are the node's counters.
+    """
+
+    departure_times: np.ndarray
+    departures: np.ndarray
+    victims: np.ndarray
+    preemptors: np.ndarray
+    drops: np.ndarray
+    event_times: np.ndarray
+    occupancy: np.ndarray
+    admitted: int
+    dropped: int
+    preemptions: int
+    peak_occupancy: int
+    occupancy_time_integral: float
+
+
+def replay(
+    buffer: PacketBuffer,
+    arrival_times: np.ndarray,
+    release_times: np.ndarray,
+    rng: np.random.Generator | None = None,
+) -> Replay:
+    """Run an empty ``buffer`` over a whole time-ordered arrival batch.
+
+    The fast path's batch entry point.  Packet ``i`` arrives at
+    ``arrival_times[i]`` asking for release at ``release_times[i]``;
+    the releases due by then leave first, as :meth:`~PacketBuffer.poll_due`
+    before :meth:`~PacketBuffer.offer` would, and the buffer drains
+    after the last arrival.  An unbounded buffer is array arithmetic;
+    drop-tail and shortest-remaining RCAD run one heap loop that builds
+    no entry and makes no call per arrival; other victim policies drive
+    ``buffer`` itself.
+    """
+    times = np.asarray(arrival_times, dtype=np.float64)
+    releases = np.asarray(release_times, dtype=np.float64)
+    if buffer.occupancy or buffer.admitted_count or buffer.dropped_count:
+        raise ValueError("replay needs a fresh, empty buffer")
+    if buffer.capacity is None:
+        order = np.argsort(releases, kind="stable")  # (release, index) order
+        return _fold(times, releases[order], order, [], [], [])
+    victims: list[int] = []
+    preemptors: list[int] = []
+    drops: list[int] = []
+    arrivals = enumerate(zip(times.tolist(), releases.tolist()))
+    preempt = isinstance(buffer, RcadBuffer)
+    if not preempt or buffer.victim_policy.name == ShortestRemainingDelay.name:
+        # Arrival indices ascend like entry ids, so ``(release, index)``
+        # orders this heap exactly like the buffer's own.
+        heap: list[tuple[float, int]] = []
+        rel_t: list[float] = []  # scheduled releases, in leaving order
+        rel_i: list[int] = []
+        capacity = buffer.capacity
+        for i, (t, release) in arrivals:
+            while heap and heap[0][0] <= t:
+                due, j = heappop(heap)
+                rel_t.append(due)
+                rel_i.append(j)
+            if len(heap) < capacity:
+                heappush(heap, (release, i))
+            elif preempt:  # the shortest-remaining victim is the head
+                victims.append(heapreplace(heap, (release, i))[1])
+                preemptors.append(i)
+            else:
+                drops.append(i)
+        for due, j in sorted(heap):
+            rel_t.append(due)
+            rel_i.append(j)
+    else:
+        released = []
+        for i, (t, release) in arrivals:
+            released += buffer.poll_due(t)
+            result = buffer.offer(i, t, release, rng)
+            if result.victim is not None:
+                victims.append(result.victim.payload)
+                preemptors.append(i)
+            elif result.entry is None:
+                drops.append(i)
+        released += buffer.poll_due(math.inf)
+        rel_t = [entry.release_time for entry in released]
+        rel_i = [entry.payload for entry in released]
+    return _fold(times, rel_t, rel_i, victims, preemptors, drops)
+
+
+def _fold(times, rel_t, rel_i, victims, preemptors, drops) -> Replay:
+    """Interleave a replay's releases with its arrivals; fold the stats."""
+    n = len(times)
+    rel_t = np.asarray(rel_t, dtype=np.float64)
+    rel_i = np.asarray(rel_i, dtype=np.int64)
+    victims = np.asarray(victims, dtype=np.int64)
+    preemptors = np.asarray(preemptors, dtype=np.int64)
+    drops = np.asarray(drops, dtype=np.int64)
+    # A release leaves just before the first later arrival due at or
+    # after it (slot n: the final drain); slots ascend in leaving order.
+    slots = np.maximum(rel_i + 1, np.searchsorted(times, rel_t, side="left"))
+
+    def interleave(at, firsts, releases):
+        # ``firsts[k]`` happens at arrival ``at[k]``, after every
+        # release slotted there or earlier.
+        merged = np.empty(len(firsts) + len(releases), dtype=releases.dtype)
+        mine = np.arange(len(at)) + np.searchsorted(slots, at, side="right")
+        is_release = np.ones(len(merged), dtype=bool)
+        is_release[mine] = False
+        merged[mine] = firsts
+        merged[is_release] = releases
+        return merged
+
+    arrivals = np.arange(n)
+    steps = np.ones(n, dtype=np.int64)  # admitted without preemption
+    steps[drops] = 0
+    steps[preemptors] = 0
+    event_times = interleave(arrivals, times, rel_t)
+    deltas = interleave(arrivals, steps, np.full(len(rel_t), -1, dtype=np.int64))
+    occupancy = np.cumsum(deltas)
+    # Left fold of occupancy-before x elapsed in event order: the event
+    # engine's running float accumulation, operation for operation.
+    elapsed = np.diff(event_times, prepend=event_times[:1])
+    integral = np.cumsum((occupancy - deltas) * elapsed)
+    return Replay(
+        departure_times=interleave(preemptors, times[preemptors], rel_t),
+        departures=interleave(preemptors, victims, rel_i),
+        victims=victims,
+        preemptors=preemptors,
+        drops=drops,
+        event_times=event_times,
+        occupancy=occupancy,
+        admitted=n - len(drops),
+        dropped=len(drops),
+        preemptions=len(preemptors),
+        peak_occupancy=int(occupancy.max()) if n else 0,
+        occupancy_time_integral=float(integral[-1]) if n else 0.0,
+    )

@@ -1,36 +1,27 @@
 """Clock-agnostic temporal-privacy state machine.
 
-The buffer/delay/RCAD logic originally lived inside the DES-clocked
-:class:`~repro.sim.simulator.SensorNetworkSimulator`, which made it
-unusable from anything that is not an event-driven simulation.  This
-module extracts that policy kernel into :class:`TemporalPrivacyCore`, a
-pure state machine with no notion of *how* time advances: callers pass
-``now`` explicitly.  Two drivers exist:
+:class:`TemporalPrivacyCore` is one node's (or shard's) policy kernel
+with no notion of *how* time advances: callers pass ``now``.  It owns
+one :class:`~repro.core.buffers.PacketBuffer` (any discipline) and
+optionally one :class:`~repro.core.delays.DelayDistribution`; it
+samples the artificial delay, runs the buffer's admission decision and
+reports what happened as a :class:`CoreDecision`.  Scheduling stays
+with the caller:
 
-* the simulator keeps its event-driven shape -- it calls
-  :meth:`TemporalPrivacyCore.offer` at packet arrival events and
-  :meth:`TemporalPrivacyCore.release` from its scheduled release
-  callbacks, so simulation results are bit-identical to the
-  pre-extraction code (same buffer objects underneath, same RNG
-  consumption order);
+* the event-driven simulator calls :meth:`TemporalPrivacyCore.offer`
+  at packet arrival events and releases entries from the buffer in the
+  release events it schedules;
 * the streaming service (:mod:`repro.service`) polls
   :meth:`TemporalPrivacyCore.poll_due` from an asyncio pump against the
-  wall clock, and uses :meth:`TemporalPrivacyCore.restore` to reload
-  buffered entries from a crash snapshot.
-
-The core owns one :class:`~repro.core.buffers.PacketBuffer` (any
-discipline) and optionally one
-:class:`~repro.core.delays.DelayDistribution`.  It samples the
-artificial delay, runs the buffer's admission decision, and reports
-what happened as a :class:`CoreDecision`; scheduling (DES event or
-asyncio timer) stays with the driver.
+  wall clock, and reloads a crash snapshot through the buffer's
+  :meth:`~repro.core.buffers.PacketBuffer.restore_entry`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -105,7 +96,8 @@ class TemporalPrivacyCore:
         is given.
     victim_rng:
         Stream handed to the buffer's victim policy (only stochastic
-        policies consume it).  Defaults to ``delay_rng``.
+        policies consume it, and they refuse to run without one).
+        Defaults to ``delay_rng``.
 
     Examples
     --------
@@ -139,20 +131,8 @@ class TemporalPrivacyCore:
     # state
     # ------------------------------------------------------------------
     @property
-    def occupancy(self) -> int:
-        return self.buffer.occupancy
-
-    @property
-    def capacity(self) -> int | None:
-        return self.buffer.capacity
-
-    @property
     def is_full(self) -> bool:
         return self.buffer.is_full
-
-    @property
-    def is_empty(self) -> bool:
-        return self.buffer.occupancy == 0
 
     def entries(self) -> list[BufferedEntry]:
         """Buffered entries in insertion order."""
@@ -188,45 +168,14 @@ class TemporalPrivacyCore:
             victim=result.victim,
         )
 
-    def release(self, entry_id: int) -> BufferedEntry:
-        """Remove and return one entry (DES drivers call this from the
-        release event they scheduled at ``entry.release_time``)."""
-        return self.buffer.release(entry_id)
-
     def poll_due(self, now: float) -> list[BufferedEntry]:
-        """Remove and return every entry due at or before ``now``.
-
-        Entries come back ordered by ``(release_time, entry_id)``, so a
-        polling driver emits releases in exactly the order a
-        fine-grained event-driven driver would have.
-        """
-        if not self.buffer.occupancy:
-            return []
-        due = [e for e in self.buffer.entries() if e.release_time <= now]
-        due.sort(key=lambda e: (e.release_time, e.entry_id))
-        return [self.buffer.release(e.entry_id) for e in due]
-
-    def restore(
-        self, items: Iterable[tuple[Any, float, float]]
-    ) -> list[BufferedEntry]:
-        """Reload snapshot entries ``(payload, arrival_time, release_time)``.
-
-        Bypasses admission (the entries were already admitted before the
-        snapshot was taken): no preemption can occur and admission
-        counters stay untouched.  Items are stored in iteration order,
-        which assigns ascending ``entry_id``\\ s -- callers must iterate
-        in the original admission order so preemption tie-breaking
-        replays identically after a restore.
-        """
-        restored = []
-        for payload, arrival_time, release_time in items:
-            restored.append(
-                self.buffer.restore_entry(payload, arrival_time, release_time)
-            )
-        return restored
+        """Remove and return every entry due at or before ``now``, in
+        ``(release_time, entry_id)`` order (see
+        :meth:`~repro.core.buffers.PacketBuffer.poll_due`)."""
+        return self.buffer.poll_due(now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TemporalPrivacyCore({type(self.buffer).__name__}, "
-            f"occupancy={self.occupancy}, delay={self.delay!r})"
+            f"occupancy={self.buffer.occupancy}, delay={self.delay!r})"
         )

@@ -8,9 +8,9 @@ closest to the original distribution" (Section 5).  The alternative
 policies here exist for the ablation benchmark that substantiates that
 design choice.
 
-A policy receives the buffered entries and the current time and returns
-the entry to preempt.  Entries expose ``release_time`` (when the packet
-would have been sent) and ``arrival_time`` (when it was buffered).
+A policy is a named key, not an algorithm: the rule each name stands
+for is implemented once, on the buffer's own release heap and
+insertion-ordered entry table, in :mod:`repro.core.buffers`.
 
 **Determinism contract.**  Every non-random policy breaks ties on its
 primary criterion by ``entry_id``: :class:`ShortestRemainingDelay`,
@@ -26,14 +26,6 @@ cycle.  The streaming service's zero-loss guarantee relies on this.
 
 from __future__ import annotations
 
-import abc
-from typing import TYPE_CHECKING, Sequence
-
-import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.core.buffers import BufferedEntry
-
 __all__ = [
     "VictimPolicy",
     "ShortestRemainingDelay",
@@ -44,25 +36,13 @@ __all__ = [
 ]
 
 
-class VictimPolicy(abc.ABC):
-    """Strategy interface: choose which buffered packet to preempt."""
+class VictimPolicy:
+    """Which buffered packet an RCAD buffer preempts, by name."""
 
-    #: short name used in experiment tables
+    #: short name used in experiment tables and by the buffer's rule table
     name: str = "abstract"
-
-    @abc.abstractmethod
-    def select(
-        self, entries: Sequence["BufferedEntry"], now: float, rng: np.random.Generator
-    ) -> "BufferedEntry":
-        """Return the entry to transmit immediately.
-
-        ``entries`` is non-empty; implementations must not mutate it.
-        """
-
-    @staticmethod
-    def _require_entries(entries: Sequence["BufferedEntry"]) -> None:
-        if not entries:
-            raise ValueError("cannot select a victim from an empty buffer")
+    #: True if choosing a victim draws from a random stream
+    stochastic: bool = False
 
 
 class ShortestRemainingDelay(VictimPolicy):
@@ -79,10 +59,6 @@ class ShortestRemainingDelay(VictimPolicy):
 
     name = "shortest-remaining"
 
-    def select(self, entries, now, rng):
-        self._require_entries(entries)
-        return min(entries, key=lambda e: (e.release_time, e.entry_id))
-
 
 class LongestRemainingDelay(VictimPolicy):
     """Anti-policy: preempt the packet furthest from release.
@@ -93,19 +69,12 @@ class LongestRemainingDelay(VictimPolicy):
 
     name = "longest-remaining"
 
-    def select(self, entries, now, rng):
-        self._require_entries(entries)
-        return max(entries, key=lambda e: (e.release_time, -e.entry_id))
-
 
 class RandomVictim(VictimPolicy):
     """Uniformly random victim: the no-information baseline."""
 
     name = "random"
-
-    def select(self, entries, now, rng):
-        self._require_entries(entries)
-        return entries[int(rng.integers(len(entries)))]
+    stochastic = True
 
 
 class OldestArrival(VictimPolicy):
@@ -113,16 +82,8 @@ class OldestArrival(VictimPolicy):
 
     name = "oldest-arrival"
 
-    def select(self, entries, now, rng):
-        self._require_entries(entries)
-        return min(entries, key=lambda e: (e.arrival_time, e.entry_id))
-
 
 class NewestArrival(VictimPolicy):
     """LIFO-style: preempt the packet buffered most recently."""
 
     name = "newest-arrival"
-
-    def select(self, entries, now, rng):
-        self._require_entries(entries)
-        return max(entries, key=lambda e: (e.arrival_time, e.entry_id))

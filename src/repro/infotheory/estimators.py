@@ -91,24 +91,11 @@ def _marginal_neighbor_counts(
     """Points within each point's radius (vectorized KSG inner loop).
 
     One batched ``query_ball_point`` call with per-point radii replaces
-    the former per-point Python loop -- the KSG hot path.  The scalar
-    loop is kept as :func:`_marginal_neighbor_counts_scalar`, the
-    oracle for the equivalence tests.
+    the former per-point Python loop -- the KSG hot path.  The loop
+    survives in ``tests/oracles.py`` as the equivalence tests' oracle.
     """
     return (
         tree.query_ball_point(points[:, None], radii, return_length=True) - 1
-    )
-
-
-def _marginal_neighbor_counts_scalar(
-    tree: cKDTree, points: np.ndarray, radii: np.ndarray
-) -> np.ndarray:
-    """Per-point loop form of :func:`_marginal_neighbor_counts`."""
-    return np.array(
-        [
-            len(tree.query_ball_point([point], radius)) - 1
-            for point, radius in zip(points, radii)
-        ]
     )
 
 

@@ -227,8 +227,8 @@ class TemporalPrivacyService:
                 flow_id=snap.flow_id, seq=snap.seq, payload=snap.payload
             )
             shard = self._shards[self._shard_index(snap.flow_id)]
-            shard.core.restore(
-                [(_Admitted(event, snap.admit_seq), snap.arrival_time, snap.release_time)]
+            shard.core.buffer.restore_entry(
+                _Admitted(event, snap.admit_seq), snap.arrival_time, snap.release_time
             )
             self._buffered += 1
             self._admit_seq = max(self._admit_seq, snap.admit_seq + 1)

@@ -15,13 +15,13 @@ single batch:
   singly or batched, and the seed engine consumes the per-node
   ``delay/node-X`` stream exactly in arrival order, which is the order
   the batch replays;
-* infinite buffers reduce to pure array arithmetic (departures =
-  arrivals + delays; occupancy via a cumulative sum over the merged
-  admission/release event sequence);
-* bounded buffers (drop-tail, RCAD) run a tight per-node loop over a
-  small ``(release_time, entry_id)`` heap.  For RCAD with the paper's
-  shortest-remaining-delay policy the heap head *is* the victim, so
-  preemption is O(log k) with no scan;
+* each node's whole arrival batch goes through
+  :func:`repro.core.buffers.replay`, the buffer module's batch entry
+  point, so release order and victim choice have one implementation
+  shared with the event engine and the service: infinite buffers
+  reduce to array arithmetic, drop-tail and RCAD (whose paper victim
+  is the release heap's head) to one heap loop, and the occupancy
+  integral to a cumulative sum over the node's event sequence;
 * telemetry is recorded into per-node lists and bulk-flushed into the
   run's series after the sweep, instead of per-event closure calls.
 
@@ -45,20 +45,21 @@ smaller sequence number at every shared instant and lands first.
 :func:`fastpath_eligible` gates the replay to configurations whose
 every feature the batch model covers; anything else (faults, ARQ,
 lossy links, phantom routing, sealed payloads, trace recording,
-non-continuous delays, stochastic victim policies) takes the
-event-driven engine.  Setting ``REPRO_FASTPATH=0`` in the environment
-forces the event-driven engine everywhere -- the A/B lever the
-equivalence tests and benchmarks use.
+non-continuous delays, any victim policy but the paper's
+shortest-remaining delay) takes the event-driven engine.  Setting
+``REPRO_FASTPATH=0`` in the environment forces the event-driven engine
+everywhere -- the A/B lever the equivalence tests and benchmarks use.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.buffers import replay
 from repro.core.victim import ShortestRemainingDelay
 from repro.sim.results import DeliveryLog, DroppedPacket, NodeStats
 
@@ -288,9 +289,7 @@ def _run_delayed(
     tree = config.tree
     sink = config.deployment.sink
     plan = config.delay_plan
-    spec = config.buffers
     telemetry = sim.telemetry
-    rcad = spec.kind == "rcad"
 
     # Topological order: deeper nodes (more hops to the sink) first.
     buffering: set[int] = set()
@@ -311,67 +310,58 @@ def _run_delayed(
 
     preemptions = np.zeros(len(created), dtype=np.int64)
     total_admitted = 0
-    total_released = 0
     total_preempted = 0
     drops: list[tuple[float, int, int]] = []  # (time, packet, node)
-    drop_times: list[list[float]] = []
-    preempt_times: list[list[float]] = []
+    preempt_times: list[np.ndarray] = [np.empty(0)]
     end = float(created.max()) if len(created) else 0.0
-    any_node = False
 
     for node in node_order:
         segments = inbox.pop(node, None)
         if not segments:
             continue
-        if len(segments) == 1:
-            in_t, in_p = segments[0]
-        else:
-            in_t = np.concatenate([s[0] for s in segments])
-            in_p = np.concatenate([s[1] for s in segments])
-            order = np.argsort(in_t, kind="stable")
-            in_t = in_t[order]
-            in_p = in_p[order]
+        in_t = np.concatenate([s[0] for s in segments])
+        order = np.argsort(in_t, kind="stable")
+        in_t = in_t[order]
+        in_p = np.concatenate([s[1] for s in segments])[order]
         if not len(in_t):
             continue
-        any_node = True
         end = max(end, float(in_t[-1]))
         delays = plan.distribution_for(node).sample_batch(
             sim._rng.stream(f"delay/node-{node}"), len(in_t)
         )
-        capacity = spec.capacity_for(node)
-        if capacity is None:
-            stats, dep_t, dep_p, occ_series = _infinite_node(
-                node, in_t, in_p, delays, telemetry is not None
-            )
-        else:
-            stats, dep_t, dep_p, occ_series, node_drops, d_times, p_times = (
-                _bounded_node(
-                    node, in_t, in_p, delays, capacity, rcad, preemptions,
-                    telemetry is not None,
-                )
-            )
-            drops.extend(node_drops)
-            if d_times:
-                drop_times.append(d_times)
-            if p_times:
-                preempt_times.append(p_times)
-        total_admitted += stats.admitted
-        total_preempted += stats.preemptions
-        total_released += stats.admitted - stats.preemptions
-        sim._result.node_stats[node] = stats
+        rep = replay(sim._make_buffer(node), in_t, in_t + delays)
+        preemptions[in_p[rep.victims]] += 1
+        drops.extend(
+            zip(in_t[rep.drops].tolist(), in_p[rep.drops].tolist(), repeat(node))
+        )
+        total_admitted += rep.admitted
+        total_preempted += rep.preemptions
+        sim._result.node_stats[node] = NodeStats(
+            node_id=node,
+            admitted=rep.admitted,
+            dropped=rep.dropped,
+            preemptions=rep.preemptions,
+            peak_occupancy=rep.peak_occupancy,
+            occupancy_time_integral=rep.occupancy_time_integral,
+        )
         if telemetry is not None:
-            telemetry.series.series(f"occupancy/node-{node}").extend(*occ_series)
-        if len(dep_t):
-            inbox.setdefault(tree.next_hop(node), []).append((dep_t + tau, dep_p))
+            telemetry.series.series(f"occupancy/node-{node}").extend(
+                rep.event_times.tolist(), rep.occupancy.astype(np.float64).tolist()
+            )
+            preempt_times.append(in_t[rep.preemptors])
+        if len(rep.departures):
+            inbox.setdefault(tree.next_hop(node), []).append(
+                (rep.departure_times + tau, in_p[rep.departures])
+            )
+        del rep  # free the node's event arrays before the next replay
 
     # --- deliver at the sink ------------------------------------------
     segments = inbox.pop(sink, [])
     if segments:
         sink_t = np.concatenate([s[0] for s in segments])
-        sink_p = np.concatenate([s[1] for s in segments])
         order = np.argsort(sink_t, kind="stable")
         sink_t = sink_t[order]
-        sink_p = sink_p[order]
+        sink_p = np.concatenate([s[1] for s in segments])[order]
         end = max(end, float(sink_t[-1]))
     else:
         sink_t = np.empty(0, dtype=np.float64)
@@ -379,19 +369,18 @@ def _run_delayed(
     _check_horizon(sim, end)
 
     # --- drop records in global event order ---------------------------
-    if drops:
-        drops.sort(key=lambda d: d[0])
-        for when, p, node in drops:
-            sim._result.dropped.append(
-                DroppedPacket(
-                    flow_id=config.flows[flow_of[p]].flow_id,
-                    packet_id=int(packet_id[p]),
-                    created_at=float(created[p]),
-                    dropped_at=when,
-                    dropped_by=node,
-                )
+    drops.sort(key=lambda d: d[0])
+    for when, p, node in drops:
+        sim._result.dropped.append(
+            DroppedPacket(
+                flow_id=config.flows[flow_of[p]].flow_id,
+                packet_id=int(packet_id[p]),
+                created_at=float(created[p]),
+                dropped_at=when,
+                dropped_by=node,
             )
-        sim._counters.buffer_dropped = len(drops)
+        )
+    sim._counters.buffer_dropped = len(drops)
 
     _deliver_all(
         sim, sink_t, sink_p,
@@ -404,7 +393,8 @@ def _run_delayed(
     for stats in sim._result.node_stats.values():
         stats.observation_time = end
 
-    if telemetry is not None and any_node:
+    total_released = total_admitted - total_preempted
+    if telemetry is not None and sim._result.node_stats:
         # The probe pre-creates these metrics for every instrumented
         # node, so they exist (possibly at zero) whenever any node
         # buffered at all.
@@ -413,151 +403,15 @@ def _run_delayed(
         registry.counter("sim/dropped").inc(len(drops))
         registry.counter("sim/preempted").inc(total_preempted)
         registry.counter("sim/released").inc(total_released)
-        for name, batches in (
-            ("events/drop", drop_times), ("events/preempt", preempt_times),
+        for name, times in (
+            ("events/drop", [when for when, _, _ in drops]),
+            ("events/preempt", np.sort(np.concatenate(preempt_times)).tolist()),
         ):
-            series = telemetry.series.series(name)
-            if batches:
-                merged = np.sort(np.concatenate(batches), kind="stable")
-                series.extend(merged.tolist(), [1.0] * len(merged))
+            telemetry.series.series(name).extend(times, [1.0] * len(times))
 
     _finalize_fast(
         sim, end,
         processed=len(created) + total_admitted + total_released,
         scheduled=len(created) + 2 * total_admitted,
         skipped=total_preempted,
-    )
-
-
-# ----------------------------------------------------------------------
-def _infinite_node(node, in_t, in_p, delays, want_telemetry):
-    """Unbounded buffer: fully vectorized departures and occupancy."""
-    releases = in_t + delays
-    dep_order = np.argsort(releases, kind="stable")
-    dep_t = releases[dep_order]
-    dep_p = in_p[dep_order]
-    m = len(in_t)
-    ev_times = np.concatenate([in_t, releases])
-    deltas = np.concatenate([np.ones(m, dtype=np.int64), np.full(m, -1, dtype=np.int64)])
-    order = np.argsort(ev_times, kind="stable")
-    ev_times = ev_times[order]
-    deltas = deltas[order]
-    occ_after = np.cumsum(deltas)
-    occ_before = occ_after - deltas
-    elapsed = np.diff(ev_times, prepend=ev_times[0])
-    # Left-fold of per-event occ_before * elapsed, matching the
-    # engine's running float accumulation order exactly.
-    integral = float(np.cumsum(occ_before * elapsed)[-1]) if m else 0.0
-    stats = NodeStats(
-        node_id=node,
-        admitted=m,
-        peak_occupancy=int(occ_after.max()) if m else 0,
-        occupancy_time_integral=integral,
-    )
-    occ_series = (
-        (ev_times.tolist(), occ_after.astype(np.float64).tolist())
-        if want_telemetry
-        else None
-    )
-    return stats, dep_t, dep_p, occ_series
-
-
-def _bounded_node(node, in_t, in_p, delays, capacity, rcad, preemptions, want_telemetry):
-    """Bounded buffer loop: drop-tail sheds, RCAD preempts the heap head.
-
-    With shortest-remaining-delay the victim is exactly the minimum of
-    ``(release_time, entry_id)`` -- the release heap's head -- so the
-    buffer needs no victim scan at all.
-    """
-    heap: list[tuple[float, int, int]] = []  # (release_time, entry_id, packet)
-    dep_t: list[float] = []
-    dep_p: list[int] = []
-    occ_t: list[float] = []
-    occ_v: list[float] = []
-    drop_times: list[float] = []
-    preempt_times: list[float] = []
-    node_drops: list[tuple[float, int, int]] = []
-    admitted = dropped = preempted = 0
-    next_eid = 0
-    peak = 0
-    integral = 0.0
-    last = in_t[0]
-    push, pop = heapq.heappush, heapq.heappop
-    times = in_t.tolist()
-    pkts = in_p.tolist()
-    release_times = (in_t + delays).tolist()
-    for i in range(len(times)):
-        t = times[i]
-        while heap and heap[0][0] <= t:
-            rel, _, p2 = pop(heap)
-            occ = len(heap)
-            if rel > last:
-                integral += (occ + 1) * (rel - last)
-            last = rel
-            dep_t.append(rel)
-            dep_p.append(p2)
-            if want_telemetry:
-                occ_t.append(rel)
-                occ_v.append(float(occ))
-        occ = len(heap)
-        if t > last:
-            integral += occ * (t - last)
-        last = t
-        if occ >= capacity:
-            if rcad:
-                _, _, victim = pop(heap)
-                dep_t.append(t)
-                dep_p.append(victim)
-                preemptions[victim] += 1
-                preempted += 1
-                admitted += 1
-                push(heap, (release_times[i], next_eid, pkts[i]))
-                next_eid += 1
-                if want_telemetry:
-                    occ_t.append(t)
-                    occ_v.append(float(len(heap)))
-                    preempt_times.append(t)
-            else:
-                dropped += 1
-                node_drops.append((t, pkts[i], node))
-                if want_telemetry:
-                    occ_t.append(t)
-                    occ_v.append(float(occ))
-                    drop_times.append(t)
-        else:
-            admitted += 1
-            push(heap, (release_times[i], next_eid, pkts[i]))
-            next_eid += 1
-            if len(heap) > peak:
-                peak = len(heap)
-            if want_telemetry:
-                occ_t.append(t)
-                occ_v.append(float(len(heap)))
-    while heap:
-        rel, _, p2 = pop(heap)
-        occ = len(heap)
-        if rel > last:
-            integral += (occ + 1) * (rel - last)
-        last = rel
-        dep_t.append(rel)
-        dep_p.append(p2)
-        if want_telemetry:
-            occ_t.append(rel)
-            occ_v.append(float(occ))
-    stats = NodeStats(
-        node_id=node,
-        admitted=admitted,
-        dropped=dropped,
-        preemptions=preempted,
-        peak_occupancy=peak,
-        occupancy_time_integral=integral,
-    )
-    return (
-        stats,
-        np.asarray(dep_t, dtype=np.float64),
-        np.asarray(dep_p, dtype=np.int64),
-        (occ_t, occ_v),
-        node_drops,
-        drop_times,
-        preempt_times,
     )

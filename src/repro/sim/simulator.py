@@ -400,7 +400,7 @@ class SensorNetworkSimulator:
             return
         state = self._node_state(node)
         occupancy_before = state.buffer.occupancy
-        entry = state.core.release(entry_id)
+        entry = state.buffer.release(entry_id)
         state.track_occupancy(self._sim.now, occupancy_before)
         self._transmit(node, entry.payload)
 

@@ -24,6 +24,52 @@ class TestParser:
         assert args.path_aware is True
 
 
+class TestCountAndSeedOptions:
+    """Every verb's ``--packets`` and ``--seed`` are checked at parse
+    time: exit code 2, a usage message naming the flag, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            *[([verb, "--packets", "0"], "--packets")
+              for verb in ("fig2", "fig3", "run", "chaos", "sweep-fabric")],
+            *[([verb, "--seed", "-1"], "--seed")
+              for verb in ("fig2", "fig3", "run", "chaos", "serve", "sweep-fabric")],
+            (["fig2", "--packets", "many"], "--packets"),
+            (["run", "--seed", "1.5"], "--seed"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_rejected_at_parse_time(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fig2", "--packets", "0"], ["fig3", "--packets", "0"], ["fig2", "--seed", "-1"]],
+        ids=" ".join,
+    )
+    def test_command_line_exits_without_traceback(self, argv):
+        import os
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"argument {argv[1]}:" in proc.stderr
+
+    def test_valid_values_parse(self):
+        args = build_parser().parse_args(["fig2", "--packets", "1", "--seed", "0"])
+        assert (args.packets, args.seed) == (1, 0)
+
+
 class TestCommands:
     def test_fig1(self, capsys):
         assert main(["fig1"]) == 0

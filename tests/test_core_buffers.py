@@ -11,6 +11,7 @@ from repro.core.buffers import (
     InfiniteBuffer,
     RcadBuffer,
 )
+from repro.core.privacy_core import TemporalPrivacyCore
 from repro.core.victim import LongestRemainingDelay, RandomVictim
 
 RNG = np.random.Generator(np.random.PCG64(0))
@@ -54,6 +55,18 @@ class TestInfiniteBuffer:
         buffer.offer("b", 0.0, 4.0)
         assert buffer.shortest_remaining_release_time() == 4.0
         assert InfiniteBuffer().shortest_remaining_release_time() is None
+
+    def test_release_out_of_release_order(self):
+        # The event engine may release any entry by id (crash recovery
+        # reschedules overdue releases); the next release and the poll
+        # order must skip it.
+        buffer = InfiniteBuffer()
+        ids = [buffer.offer(p, 0.0, r).entry.entry_id for p, r in (("a", 3.0), ("b", 1.0), ("c", 2.0))]
+        buffer.release(ids[1])
+        assert buffer.shortest_remaining_release_time() == 2.0
+        buffer.release(ids[0])
+        assert [e.payload for e in buffer.poll_due(10.0)] == ["c"]
+        assert buffer.shortest_remaining_release_time() is None
 
     def test_release_before_arrival_rejected(self):
         with pytest.raises(ValueError):
@@ -141,6 +154,21 @@ class TestRcadBuffer:
         rng = np.random.Generator(np.random.PCG64(3))
         result = buffer.offer("c", 1.0, 30.0, rng=rng)
         assert result.victim.payload in ("a", "b")
+
+    def test_random_victim_without_a_stream_is_refused(self):
+        # No process-wide fallback generator: a stochastic policy that
+        # must draw and was given no stream fails, naming the stream.
+        buffer = RcadBuffer(capacity=2, victim_policy=RandomVictim())
+        buffer.offer("a", 0.0, 10.0)
+        buffer.offer("b", 0.0, 20.0)
+        with pytest.raises(ValueError, match="victim stream"):
+            buffer.offer("c", 1.0, 30.0)
+
+    def test_core_without_victim_rng_is_refused(self):
+        core = TemporalPrivacyCore(RcadBuffer(capacity=1, victim_policy=RandomVictim()))
+        core.offer("a", now=0.0, delay=5.0)
+        with pytest.raises(ValueError, match="victim_rng"):
+            core.offer("b", now=1.0, delay=5.0)
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import pytest
 
 import repro.core.buffers
 import repro.core.delays
+import repro.core.privacy_core
 import repro.crypto.keys
 import repro.crypto.mac
 import repro.crypto.modes
@@ -43,6 +44,7 @@ MODULES = [
     repro.queueing.simq,
     repro.core.delays,
     repro.core.buffers,
+    repro.core.privacy_core,
     repro.sim.simulator,
 ]
 

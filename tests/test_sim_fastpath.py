@@ -35,7 +35,7 @@ ELIGIBLE = [
 ]
 INELIGIBLE = [
     "constant-delay",  # point-mass delays make event ties routine
-    "rcad-newest-victim",  # non-SRD victim scan
+    "rcad-newest-victim",  # non-SRD victim rule
     "rcad-oldest-victim",
     "sealed",  # payload codec consumes extra RNG streams per packet
     "lossy",  # per-hop Bernoulli loss interleaves with delivery order
