@@ -78,6 +78,13 @@ def _validated_capacity(capacity: Any) -> int:
     return value
 
 
+def _bad_times(arrival_time: float, release_time: float) -> ValueError:
+    return ValueError(
+        f"release time {release_time:g} must be a number no earlier than "
+        f"arrival {arrival_time:g} (NaN is rejected)"
+    )
+
+
 class AdmissionOutcome(Enum):
     """What happened when a packet arrived at the buffer."""
 
@@ -86,7 +93,7 @@ class AdmissionOutcome(Enum):
     PREEMPTED_VICTIM = "preempted-victim"
 
 
-@dataclass
+@dataclass(slots=True)
 class BufferedEntry:
     """A packet sitting in a buffer, waiting for its release time.
 
@@ -107,7 +114,7 @@ class BufferedEntry:
         return max(self.release_time - now, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AdmissionResult:
     """Outcome of offering a packet to a buffer.
 
@@ -210,28 +217,25 @@ class PacketBuffer:
         rng:
             The victim stream; stochastic victim policies need it.
         """
-        if release_time < arrival_time:
-            raise ValueError(
-                f"release time {release_time:g} precedes arrival {arrival_time:g}"
-            )
-        victim = None
-        if self.is_full:
+        if not arrival_time <= release_time:  # also false for NaN
+            raise _bad_times(arrival_time, release_time)
+        capacity = self._capacity
+        if capacity is None or len(self._entries) < capacity:
+            victim = None
+            outcome = AdmissionOutcome.ADMITTED
+        else:
             victim_id = self._choose_victim(rng)
             if victim_id is None:
                 self.dropped_count += 1
-                return self._report(
-                    AdmissionResult(AdmissionOutcome.DROPPED, entry=None, victim=None)
-                )
+                return self._report(AdmissionResult(AdmissionOutcome.DROPPED, None, None))
             victim = self._remove(victim_id)
             self.preemption_count += 1
+            outcome = AdmissionOutcome.PREEMPTED_VICTIM
         entry = self._store(payload, arrival_time, release_time)
         self.admitted_count += 1
-        self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
-        outcome = (
-            AdmissionOutcome.ADMITTED
-            if victim is None
-            else AdmissionOutcome.PREEMPTED_VICTIM
-        )
+        occupancy = len(self._entries)
+        if occupancy > self.peak_occupancy:
+            self.peak_occupancy = occupancy
         return self._report(AdmissionResult(outcome, entry, victim))
 
     def release(self, entry_id: int) -> BufferedEntry:
@@ -275,10 +279,8 @@ class PacketBuffer:
         ascending ``entry_id``\\ s, which keeps victim-policy
         tie-breaking replay-stable across the restore.
         """
-        if release_time < arrival_time:
-            raise ValueError(
-                f"release time {release_time:g} precedes arrival {arrival_time:g}"
-            )
+        if not arrival_time <= release_time:  # also false for NaN
+            raise _bad_times(arrival_time, release_time)
         if self.is_full:
             raise ValueError(
                 f"cannot restore into a full buffer (capacity {self.capacity})"
@@ -294,19 +296,15 @@ class PacketBuffer:
 
     def _report(self, result: AdmissionResult) -> AdmissionResult:
         if self.telemetry_probe is not None:
-            self.telemetry_probe(_PROBE_EVENTS[result.outcome], self.occupancy)
+            self.telemetry_probe(_PROBE_EVENTS[result.outcome], len(self._entries))
         return result
 
     def _store(self, payload: Any, arrival_time: float, release_time: float) -> BufferedEntry:
-        entry = BufferedEntry(
-            entry_id=self._next_id,
-            payload=payload,
-            arrival_time=arrival_time,
-            release_time=release_time,
-        )
-        self._next_id += 1
-        self._entries[entry.entry_id] = entry
-        heappush(self._heap, (release_time, entry.entry_id))
+        entry_id = self._next_id
+        self._next_id = entry_id + 1
+        entry = BufferedEntry(entry_id, payload, arrival_time, release_time)
+        self._entries[entry_id] = entry
+        heappush(self._heap, (release_time, entry_id))
         return entry
 
     def _remove(self, entry_id: int) -> BufferedEntry:
@@ -448,10 +446,15 @@ def replay(
     after the last arrival.  An unbounded buffer is array arithmetic;
     drop-tail and shortest-remaining RCAD run one heap loop that builds
     no entry and makes no call per arrival; other victim policies drive
-    ``buffer`` itself.
+    ``buffer`` itself.  Like :meth:`~PacketBuffer.offer`, it raises
+    ``ValueError`` for a release before its arrival or a NaN time.
     """
     times = np.asarray(arrival_times, dtype=np.float64)
     releases = np.asarray(release_times, dtype=np.float64)
+    bad = ~(times <= releases)  # also true where either is NaN
+    if bad.any():
+        i = int(bad.argmax())
+        raise _bad_times(float(times[i]), float(releases[i]))
     if buffer.occupancy or buffer.admitted_count or buffer.dropped_count:
         raise ValueError("replay needs a fresh, empty buffer")
     if buffer.capacity is None:

@@ -55,7 +55,7 @@ _ACTION_FOR_OUTCOME = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CoreDecision:
     """Outcome of :meth:`TemporalPrivacyCore.offer`.
 
@@ -153,19 +153,11 @@ class TemporalPrivacyCore:
         """
         if delay is None:
             if self.delay is None:
-                return CoreDecision(CoreAction.FORWARD, 0.0, entry=None, victim=None)
+                return CoreDecision(CoreAction.FORWARD, 0.0, None, None)
             delay = self.delay.sample(self._delay_rng)
-        result = self.buffer.offer(
-            payload,
-            arrival_time=now,
-            release_time=now + delay,
-            rng=self._victim_rng,
-        )
+        result = self.buffer.offer(payload, now, now + delay, self._victim_rng)
         return CoreDecision(
-            action=_ACTION_FOR_OUTCOME[result.outcome],
-            delay=delay,
-            entry=result.entry,
-            victim=result.victim,
+            _ACTION_FOR_OUTCOME[result.outcome], delay, result.entry, result.victim
         )
 
     def poll_due(self, now: float) -> list[BufferedEntry]:

@@ -1,58 +1,36 @@
 """The event scheduler at the heart of the simulation engine.
 
-The design is a *calendar of per-lane event heaps* behind the classic
-event-list interface:
+The design is **one binary heap** of ``(when, seq, handle)`` entries
+behind the classic event-list interface:
 
-* every event belongs to a **lane** (callers pass any hashable key --
-  the sensor-network simulator uses the node id; ``None`` is the shared
-  default lane).  Each lane keeps its own binary heap ordered by
-  ``(time, sequence)``, where the monotonically increasing **global**
-  sequence number gives *stable FIFO order for simultaneous events*
-  across all lanes -- essential so that, e.g., a packet arrival and a
-  buffer-timer expiry at the same instant resolve deterministically,
-  and so that lane assignment can never change execution order;
-* a small top-level heap holds one ``(time, sequence, lane)`` entry per
-  lane head.  An entry is *valid* iff it still equals its lane's
-  current head; anything else is skipped as stale.  Pushing a
-  duplicate entry for an unchanged head is therefore harmless, which
-  keeps every operation O(log n) without back-pointers;
-* cancellation is **O(1) and lazy**: a cancelled event stays in its
-  lane's heap but is discarded (and counted in :attr:`Simulator.\
-events_skipped`) when it surfaces.  RCAD preempts buffered packets
-  constantly, so cancellation must never touch the heap;
-* lanes whose tombstone count crosses a threshold are **compacted**:
-  the lane heap is rebuilt without its cancelled entries (each counted
-  as skipped, preserving the invariant that at drain time
-  ``events_skipped`` equals the total number of cancellations).  This
-  bounds memory under sustained preemption churn, where the old
-  single-heap design grew without bound until pop time;
+* the monotonically increasing sequence number breaks ties, giving
+  *stable FIFO order for simultaneous events* -- essential so that,
+  e.g., a packet arrival and a buffer-timer expiry at the same instant
+  resolve deterministically;
+* cancellation is **O(1) and lazy**: a cancelled event stays in the
+  heap as a tombstone and is discarded (and counted in
+  :attr:`Simulator.events_skipped`) when it surfaces.  RCAD preempts
+  buffered packets constantly, so cancellation must never touch the
+  heap;
+* once the tombstones reach :attr:`Simulator.COMPACT_MIN_DEAD` *and*
+  outnumber the live entries, the whole heap is **compacted** in place
+  (each dropped tombstone counted as skipped, preserving the invariant
+  that at drain time ``events_skipped`` equals the total number of
+  cancellations).  This bounds memory under sustained preemption
+  churn: garbage never exceeds ``max(COMPACT_MIN_DEAD, live entries)``;
 * the clock is a float in abstract "time units" matching the paper
   (per-hop transmission delay tau = 1 time unit).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
 from repro.des.errors import SchedulingInPastError
 
 __all__ = ["Simulator", "EventHandle"]
-
-
-class _Lane:
-    """One per-key event calendar: a heap plus its tombstone count."""
-
-    __slots__ = ("key", "heap", "dead")
-
-    def __init__(self, key: Any) -> None:
-        self.key = key
-        self.heap: list[tuple[float, int, "EventHandle"]] = []
-        self.dead = 0  # cancelled entries still sitting in ``heap``
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_Lane({self.key!r}, size={len(self.heap)}, dead={self.dead})"
 
 
 class EventHandle:
@@ -64,7 +42,7 @@ class EventHandle:
     with the shortest remaining delay.
     """
 
-    __slots__ = ("when", "callback", "args", "_cancelled", "_fired", "seq", "_owner", "_lane")
+    __slots__ = ("when", "callback", "args", "_cancelled", "_fired", "seq", "_owner")
 
     def __init__(
         self,
@@ -72,6 +50,7 @@ class EventHandle:
         callback: Callable[..., None],
         args: tuple[Any, ...],
         seq: int,
+        owner: "Simulator | None" = None,
     ) -> None:
         self.when = when
         self.callback = callback
@@ -79,8 +58,7 @@ class EventHandle:
         self.seq = seq
         self._cancelled = False
         self._fired = False
-        self._owner: "Simulator | None" = None
-        self._lane: _Lane | None = None
+        self._owner = owner
 
     @property
     def cancelled(self) -> bool:
@@ -104,7 +82,7 @@ class EventHandle:
         self._cancelled = True
         owner = self._owner
         if owner is not None:
-            owner._note_cancel(self)
+            owner._note_cancel()
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -129,16 +107,16 @@ class Simulator:
     2.0
     """
 
-    #: A lane is compacted when at least this many tombstones have
+    #: The heap is compacted when at least this many tombstones have
     #: accumulated *and* they outnumber the live entries (see
-    #: :meth:`_compact`).  64 keeps tiny lanes from churning rebuilds
-    #: while bounding any lane's garbage to ``max(64, live entries)``.
+    #: :meth:`_compact`).  64 keeps small calendars from churning
+    #: rebuilds while bounding garbage to ``max(64, live entries)``.
     COMPACT_MIN_DEAD = 64
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._lanes: dict[Any, _Lane] = {}
-        self._top: list[tuple[float, int, _Lane]] = []
+        self._heap: list[tuple[float, int, EventHandle]] = []
+        self._dead = 0  # cancelled entries still sitting in ``_heap``
         self._next_seq = 0
         self._live = 0
         self._events_processed = 0
@@ -196,135 +174,95 @@ class Simulator:
 
     @property
     def heap_size(self) -> int:
-        """Total entries across all lane heaps, *including* tombstones.
+        """Entries in the event heap, *including* tombstones.
 
         ``heap_size - pending_count`` is the garbage currently awaiting
         lazy discard; compaction keeps it bounded (tests rely on this).
         """
-        return sum(len(lane.heap) for lane in self._lanes.values())
+        return len(self._heap)
 
     def peek(self) -> float:
         """Time of the next pending event, or ``math.inf`` if none.
 
-        Cancelled events surfacing at lane heads are discarded (and
+        Cancelled events surfacing at the head are discarded (and
         counted as skipped) on the way.
         """
-        top = self._top
-        while top:
-            when, seq, lane = top[0]
-            lheap = lane.heap
-            if not lheap or lheap[0][0] != when or lheap[0][1] != seq:
-                heapq.heappop(top)  # stale: the lane head moved on
-                continue
-            if lheap[0][2].pending:
-                return when
-            heapq.heappop(lheap)  # cancelled lane head
-            lane.dead -= 1
+        heap = self._heap
+        while heap:
+            if not heap[0][2]._cancelled:
+                return heap[0][0]
+            heappop(heap)
+            self._dead -= 1
             self._events_skipped += 1
-            heapq.heappop(top)
-            if lheap:
-                head = lheap[0]
-                heapq.heappush(top, (head[0], head[1], lane))
         return math.inf
 
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
     def schedule(
-        self,
-        when: float,
-        callback: Callable[..., None],
-        *args: Any,
-        lane: Any = None,
+        self, when: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute time ``when``.
-
-        ``lane`` (keyword-only, any hashable) names the event calendar
-        to file the event under; it is purely a performance hint --
-        events fire in global ``(when, seq)`` order regardless of lane
-        assignment.  The simulator lanes by node id so that RCAD's
-        cancellation tombstones stay local and compactable.
 
         Raises
         ------
         ValueError
-            If ``when`` is NaN (checked first: NaN would slip past the
-            in-the-past comparison below, surfacing much later as a
-            confusing heap-order corruption).
+            If ``when`` is NaN (NaN compares false against everything,
+            so accepting it would surface much later as a confusing
+            heap-order corruption).
         SchedulingInPastError
             If ``when`` is before the current simulation time.  Events
             at exactly :attr:`now` are allowed and run in FIFO order
             after the currently executing event returns.
         """
         when = float(when)
-        if math.isnan(when):
-            raise ValueError("cannot schedule an event at time NaN")
-        if when < self._now:
+        if not when >= self._now:
+            if math.isnan(when):
+                raise ValueError("cannot schedule an event at time NaN")
             raise SchedulingInPastError(
                 f"cannot schedule at t={when:g}; clock is already at t={self._now:g}"
             )
         seq = self._next_seq
         self._next_seq = seq + 1
-        handle = EventHandle(when, callback, args, seq)
-        handle._owner = self
-        lane_obj = self._lanes.get(lane)
-        if lane_obj is None:
-            lane_obj = self._lanes[lane] = _Lane(lane)
-        handle._lane = lane_obj
-        lheap = lane_obj.heap
-        heapq.heappush(lheap, (when, seq, handle))
-        if lheap[0][1] == seq:
-            # The new event became its lane's head: surface it topside.
-            # (Any previous top entry for this lane just went stale.)
-            heapq.heappush(self._top, (when, seq, lane_obj))
+        handle = EventHandle(when, callback, args, seq, self)
+        heappush(self._heap, (when, seq, handle))
         self._events_scheduled += 1
         self._live += 1
         return handle
 
     def schedule_after(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *args: Any,
-        lane: Any = None,
+        self, delay: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` ``delay`` time units from now."""
         if delay < 0:
             raise SchedulingInPastError(f"negative delay {delay:g}")
-        return self.schedule(self._now + delay, callback, *args, lane=lane)
+        return self.schedule(self._now + delay, callback, *args)
 
     # ------------------------------------------------------------------
     # cancellation bookkeeping
     # ------------------------------------------------------------------
-    def _note_cancel(self, handle: EventHandle) -> None:
-        """O(1) cancel accounting; compacts the lane past the threshold."""
+    def _note_cancel(self) -> None:
+        """O(1) cancel accounting; compacts the heap past the threshold."""
         self._live -= 1
-        lane = handle._lane
-        if lane is None:  # pragma: no cover - handles are always laned
-            return
-        lane.dead += 1
-        if lane.dead >= self.COMPACT_MIN_DEAD and lane.dead * 2 > len(lane.heap):
-            self._compact(lane)
+        self._dead += 1
+        if self._dead >= self.COMPACT_MIN_DEAD and self._dead * 2 > len(self._heap):
+            self._compact()
 
-    def _compact(self, lane: _Lane) -> None:
-        """Rebuild one lane's heap without its cancelled entries.
+    def _compact(self) -> None:
+        """Rebuild the heap, in place, without its cancelled entries.
 
         Every dropped tombstone counts as skipped -- exactly what lazy
         discard would eventually have reported -- so the
         scheduled/processed/skipped ledger is identical whether an
-        event dies here or at pop time.
+        event dies here or at pop time.  The list object is kept, so a
+        loop holding a reference to it (:meth:`run_until`) stays valid.
         """
-        live = [item for item in lane.heap if item[2].pending]
-        self._events_skipped += len(lane.heap) - len(live)
-        heapq.heapify(live)
-        lane.heap = live
-        lane.dead = 0
-        if live:
-            head = live[0]
-            # Re-surface the head: if compaction removed the old head,
-            # its top entry is now stale; if not, this is a harmless
-            # duplicate of a still-valid entry.
-            heapq.heappush(self._top, (head[0], head[1], lane))
+        heap = self._heap
+        size = len(heap)
+        heap[:] = [item for item in heap if not item[2]._cancelled]
+        heapify(heap)
+        self._events_skipped += size - len(heap)
+        self._dead = 0
 
     # ------------------------------------------------------------------
     # execution
@@ -334,23 +272,15 @@ class Simulator:
 
         Returns True if an event ran, False if the event list is empty.
         """
-        top = self._top
-        while top:
-            when, seq, lane = heapq.heappop(top)
-            lheap = lane.heap
-            if not lheap or lheap[0][0] != when or lheap[0][1] != seq:
-                continue  # stale: the lane head changed since this was pushed
-            handle = heapq.heappop(lheap)[2]
-            if lheap:
-                head = lheap[0]
-                heapq.heappush(top, (head[0], head[1], lane))
+        heap = self._heap
+        while heap:
+            when, _, handle = heappop(heap)
             if handle._cancelled:
-                lane.dead -= 1
+                self._dead -= 1
                 self._events_skipped += 1
                 continue
             self._live -= 1
-            self._now = when
-            self._last_event_time = when
+            self._now = self._last_event_time = when
             handle._fired = True
             handle.callback(*handle.args)
             self._events_processed += 1
@@ -382,14 +312,26 @@ class Simulator:
         executed by this call.
         """
         until = float(until)
+        heap = self._heap
         executed = 0
         self._running = True
         try:
-            while True:
-                next_time = self.peek()
-                if next_time > until:
+            while heap:
+                entry = heappop(heap)
+                handle = entry[2]
+                if handle._cancelled:
+                    self._dead -= 1
+                    self._events_skipped += 1
+                    continue
+                when = entry[0]
+                if when > until:
+                    heappush(heap, entry)
                     break
-                self.step()
+                self._live -= 1
+                self._now = self._last_event_time = when
+                handle._fired = True
+                handle.callback(*handle.args)
+                self._events_processed += 1
                 executed += 1
         finally:
             self._running = False

@@ -1,6 +1,6 @@
 """DES throughput benchmarking: event and packet rates, before/after.
 
-The hot-path overhaul (calendar-queue engine + the vectorized fast
+The hot-path overhaul (the event engine + the vectorized fast
 path of :mod:`repro.sim.fastpath`) is a performance change, and
 performance claims need a reproducible harness.  This module defines
 

@@ -19,7 +19,7 @@ construction rather than by convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.crypto.payload import SealedPayload
 
@@ -54,7 +54,7 @@ class RoutingHeader:
 
     def forwarded(self, by_node: int) -> "RoutingHeader":
         """Header after one more hop, transmitted by ``by_node``."""
-        return replace(self, previous_hop=by_node, hop_count=self.hop_count + 1)
+        return RoutingHeader(by_node, self.origin, self.routing_seq, self.hop_count + 1)
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Observable fingerprinting: one digest per simulation's visible output.
 
-The DES hot path gets rewritten for speed (calendar-queue engine, the
+The DES hot path gets rewritten for speed (the event heap, the
 vectorized fast path of :mod:`repro.sim.fastpath`), and the contract of
 every such rewrite is *observable bit-identity*: the same configuration
 must produce exactly the same adversary-visible output and statistics,

@@ -34,7 +34,7 @@ with a packet-conservation and clock audit
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.buffers import (
     DropTailBuffer,
@@ -103,10 +103,10 @@ class _NodeState:
     core: TemporalPrivacyCore
     stats: NodeStats
     last_occupancy_change: float = 0.0
+    buffer: PacketBuffer = field(init=False)
 
-    @property
-    def buffer(self) -> PacketBuffer:
-        return self.core.buffer
+    def __post_init__(self) -> None:
+        self.buffer = self.core.buffer
 
     def track_occupancy(self, now: float, occupancy_before: int) -> None:
         elapsed = now - self.last_occupancy_change
@@ -154,6 +154,7 @@ class SensorNetworkSimulator:
             from repro.location.policies import TreeRoutingPolicy
 
             self._routing = TreeRoutingPolicy(config.tree)
+        self._routing_rng = self._rng.stream("routing")
         # --- fault layer (None == strict legacy behaviour) ---
         if config.faults is not None and not config.faults.is_noop:
             self._faults: FaultInjector | None = FaultInjector(
@@ -176,6 +177,7 @@ class SensorNetworkSimulator:
         self._transfer_ids = itertools.count()
         self.lost_in_transit = 0
         self._next_routing_seq = 0
+        self._tracing = config.record_packet_traces
         self._ran = False
 
     # ------------------------------------------------------------------
@@ -215,8 +217,7 @@ class SensorNetworkSimulator:
             times = flow.traffic.creation_times(flow.n_packets, stream)
             for packet_index, created_at in enumerate(times):
                 self._sim.schedule(
-                    float(created_at), self._on_created, flow, packet_index,
-                    lane=flow.source,
+                    float(created_at), self._on_created, flow, packet_index
                 )
 
     def _schedule_crash_windows(self) -> None:
@@ -293,8 +294,7 @@ class SensorNetworkSimulator:
     # packet lifecycle
     # ------------------------------------------------------------------
     def _trace(self, transit: _TransitPacket, kind: str, node: int, detail=None) -> None:
-        if not self.config.record_packet_traces:
-            return
+        # Callers check ``self._tracing`` first: untraced runs pay nothing.
         from repro.sim.tracing import PacketTrace
 
         key = (transit.packet.flow_id, transit.packet.packet_id)
@@ -336,7 +336,8 @@ class SensorNetworkSimulator:
         self._routing.first_hop_state((flow.flow_id, packet_index))
         transit = _TransitPacket(packet)
         self._counters.created += 1
-        self._trace(transit, "created", source)
+        if self._tracing:
+            self._trace(transit, "created", source)
         self._handle_at_node(source, transit)
 
     def _handle_at_node(self, node: int, transit: _TransitPacket) -> None:
@@ -359,7 +360,8 @@ class SensorNetworkSimulator:
         if result.action is CoreAction.SHED:
             state.stats.dropped += 1
             self._counters.buffer_dropped += 1
-            self._trace(transit, "dropped", node)
+            if self._tracing:
+                self._trace(transit, "dropped", node)
             self._result.dropped.append(
                 DroppedPacket(
                     flow_id=transit.packet.flow_id,
@@ -373,9 +375,10 @@ class SensorNetworkSimulator:
         state.stats.admitted += 1
         assert result.entry is not None  # admitted implies an entry exists
         entry = result.entry
-        self._trace(transit, "buffered", node, detail=entry.release_time)
+        if self._tracing:
+            self._trace(transit, "buffered", node, detail=entry.release_time)
         entry.context = self._sim.schedule(
-            entry.release_time, self._on_release, node, entry.entry_id, lane=node
+            entry.release_time, self._on_release, node, entry.entry_id
         )
         if result.victim is not None:
             state.stats.preemptions += 1
@@ -384,9 +387,10 @@ class SensorNetworkSimulator:
                 victim.context.cancel()
             victim_transit: _TransitPacket = victim.payload
             victim_transit.preemptions += 1
-            self._trace(
-                victim_transit, "preempted", node, detail=victim.release_time
-            )
+            if self._tracing:
+                self._trace(
+                    victim_transit, "preempted", node, detail=victim.release_time
+                )
             # The victim leaves the buffer *now*: it was already removed
             # from the buffer's entry table by the admission; transmit it.
             self._transmit(node, victim_transit)
@@ -408,9 +412,9 @@ class SensorNetworkSimulator:
     # transmission
     # ------------------------------------------------------------------
     def _transmit(self, node: int, transit: _TransitPacket) -> None:
-        packet_key = (transit.packet.flow_id, transit.packet.packet_id)
+        packet = transit.packet
         next_hop = self._routing.next_hop(
-            node, packet_key, self._rng.stream("routing")
+            node, (packet.flow_id, packet.packet_id), self._routing_rng
         )
         if (
             self._faults is not None
@@ -419,12 +423,14 @@ class SensorNetworkSimulator:
         ):
             backup = self._backups.get(node)
             if backup is not None and not self._faults.is_crashed(backup):
-                self._trace(transit, "failover", node, detail=backup)
+                if self._tracing:
+                    self._trace(transit, "failover", node, detail=backup)
                 next_hop = backup
-        transit.packet.header = transit.packet.header.forwarded(by_node=node)
+        packet.header = packet.header.forwarded(node)
         if self.config.record_transmissions:
             self._result.transmissions.append((self._sim.now, node, next_hop))
-        self._trace(transit, "forwarded", node, detail=next_hop)
+        if self._tracing:
+            self._trace(transit, "forwarded", node, detail=next_hop)
         if self._faults is None:
             # Legacy path, bit-for-bit identical to the pre-fault
             # simulator: one copy, constant delay, silent loss.
@@ -435,7 +441,7 @@ class SensorNetworkSimulator:
                 return
             self._sim.schedule_after(
                 self._link.transmission_delay(), self._handle_at_node,
-                next_hop, transit, lane=next_hop,
+                next_hop, transit,
             )
             return
         # The duplicate-filter key must be pinned *now*: the header (and
@@ -468,7 +474,8 @@ class SensorNetworkSimulator:
             self._result.crash_blackholed += 1
         if arq_failed:
             self._result.arq_failed += 1
-        self._trace(transit, "lost", sender)
+        if self._tracing:
+            self._trace(transit, "lost", sender)
 
     def _copy_delivers(self, sender: int) -> bool:
         """One physical copy's survival: i.i.d. link loss *and* the
@@ -497,8 +504,7 @@ class SensorNetworkSimulator:
         copyset = _CopySet(sender=sender, remaining=len(delays), dedup_key=dedup_key)
         for delay in delays:
             self._sim.schedule_after(
-                delay, self._on_copy_arrival, copyset, receiver, transit,
-                lane=receiver,
+                delay, self._on_copy_arrival, copyset, receiver, transit
             )
 
     def _on_copy_arrival(
@@ -527,7 +533,8 @@ class SensorNetworkSimulator:
             self._counters.extra_copies_arrived += 1
             self._counters.duplicates_suppressed += 1
             self._result.duplicates_suppressed += 1
-            self._trace(transit, "duplicate", receiver)
+            if self._tracing:
+                self._trace(transit, "duplicate", receiver)
             return False
         seen.add(key)
         return True
@@ -561,8 +568,7 @@ class SensorNetworkSimulator:
             if self._copy_delivers(transfer.sender):
                 transfer.copies_in_flight += 1
                 self._sim.schedule_after(
-                    self._hop_delay(), self._on_arq_data, transfer,
-                    lane=transfer.receiver,
+                    self._hop_delay(), self._on_arq_data, transfer
                 )
         transfer.timer.start(self._on_arq_timeout, transfer)
 
@@ -591,7 +597,7 @@ class SensorNetworkSimulator:
         # faces that link's loss process.
         if self._copy_delivers(receiver):
             self._sim.schedule_after(
-                self._hop_delay(), self._on_arq_ack, transfer, lane=transfer.sender
+                self._hop_delay(), self._on_arq_ack, transfer
             )
 
     def _on_arq_ack(self, transfer: ArqTransfer) -> None:
@@ -631,8 +637,9 @@ class SensorNetworkSimulator:
             self.telemetry.series.series("events/retransmit").append(
                 self._sim.now, 1.0
             )
-        self._trace(transfer.payload, "retransmit", transfer.sender,
-                    detail=transfer.receiver)
+        if self._tracing:
+            self._trace(transfer.payload, "retransmit", transfer.sender,
+                        detail=transfer.receiver)
         self._send_arq_copy(transfer)
 
     # ------------------------------------------------------------------
@@ -675,7 +682,6 @@ class SensorNetworkSimulator:
                     self._on_release,
                     node,
                     entry.entry_id,
-                    lane=node,
                 )
 
     # ------------------------------------------------------------------
@@ -695,7 +701,8 @@ class SensorNetworkSimulator:
             self.telemetry.registry.histogram(
                 f"latency/flow-{packet.flow_id}"
             ).observe(now - packet.created_at)
-        self._trace(transit, "delivered", self.config.deployment.sink)
+        if self._tracing:
+            self._trace(transit, "delivered", self.config.deployment.sink)
         header = packet.header
         columns = self._delivery_columns
         columns["arrival_time"].append(now)

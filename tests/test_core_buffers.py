@@ -10,7 +10,9 @@ from repro.core.buffers import (
     DropTailBuffer,
     InfiniteBuffer,
     RcadBuffer,
+    replay,
 )
+from repro.core.delays import ConstantDelay
 from repro.core.privacy_core import TemporalPrivacyCore
 from repro.core.victim import LongestRemainingDelay, RandomVictim
 
@@ -183,6 +185,52 @@ class TestRcadBuffer:
         victim = result.victim
         assert victim.release_time == 30.0
         assert victim.remaining_delay(now=2.0) == 28.0  # delay cut short by 28
+
+
+NAN = float("nan")
+_KINDS = [InfiniteBuffer, lambda: DropTailBuffer(2), lambda: RcadBuffer(2)]
+
+
+class TestNanTimesRejected:
+    """NaN compares false against everything: a ``release < arrival``
+    guard lets it through to the head of the release heap."""
+
+    @pytest.mark.parametrize("make", _KINDS)
+    @pytest.mark.parametrize("arrival, release", [(0.0, NAN), (NAN, 1.0), (NAN, NAN)])
+    def test_offer(self, make, arrival, release):
+        buffer = make()
+        with pytest.raises(ValueError, match="NaN"):
+            buffer.offer("x", arrival, release)
+        assert buffer.occupancy == 0
+        assert buffer.admitted_count == 0
+        assert buffer.shortest_remaining_release_time() is None
+
+    @pytest.mark.parametrize("arrival, release", [(0.0, NAN), (NAN, 1.0)])
+    def test_restore_entry(self, arrival, release):
+        buffer = RcadBuffer(2)
+        with pytest.raises(ValueError, match="NaN"):
+            buffer.restore_entry("x", arrival, release)
+        assert buffer.occupancy == 0
+
+    def test_core_offer_at_nan_time(self):
+        core = TemporalPrivacyCore(
+            RcadBuffer(2), ConstantDelay(5.0), delay_rng=np.random.default_rng(0)
+        )
+        with pytest.raises(ValueError, match="NaN"):
+            core.offer("p", NAN)
+        with pytest.raises(ValueError, match="NaN"):
+            core.offer("p", 0.0, delay=NAN)
+        assert core.next_release_time() is None
+
+    @pytest.mark.parametrize("make", _KINDS)
+    @pytest.mark.parametrize(
+        "arrivals, releases",
+        [([0.0, 1.0, 2.0], [3.0, NAN, 4.0]), ([0.0, NAN], [1.0, 2.0]),
+         ([0.0, 5.0], [1.0, 4.0])],
+    )
+    def test_replay_checks_its_arrays(self, make, arrivals, releases):
+        with pytest.raises(ValueError, match="NaN"):
+            replay(make(), np.array(arrivals), np.array(releases))
 
 
 class TestBufferInvariants:

@@ -1,18 +1,21 @@
-"""Calendar-queue engine regressions: NaN guard, O(1) counters, compaction.
+"""Event-heap engine regressions: NaN guard, O(1) counters, compaction.
 
-The rewrite of :mod:`repro.des.engine` (per-node event lanes feeding a
-small top-level heap) came with three behavioural commitments beyond
-raw speed, each pinned here:
+:mod:`repro.des.engine` keeps one ``(when, seq, handle)`` heap with lazy
+cancellation.  Beyond raw speed it makes three behavioural commitments,
+each pinned here:
 
-* ``schedule`` rejects NaN *before* the in-the-past comparison -- NaN
-  compares false against everything, so the old check order would let
-  it slip into the heap and corrupt event ordering far from the bug;
+* ``schedule`` rejects NaN instead of treating it as an in-the-past
+  time -- NaN compares false against everything, so a plain past check
+  would let it slip into the heap and corrupt event ordering far from
+  the bug;
 * ``pending_count`` is maintained incrementally (O(1)), never by
-  scanning heaps, so ``__repr__`` and monitoring loops stay cheap on
+  scanning the heap, so ``__repr__`` and monitoring loops stay cheap on
   million-event calendars;
-* cancellation tombstones are compacted per lane, bounding memory under
-  sustained RCAD preemption churn while keeping ``events_skipped``
-  equal to the total number of cancellations once the calendar drains.
+* cancellation tombstones are compacted out of the heap, bounding
+  memory under sustained RCAD preemption churn while keeping
+  ``events_skipped`` equal to the total number of cancellations once
+  the calendar drains -- also when the compaction happens inside a
+  callback that :meth:`~repro.des.engine.Simulator.run_until` is running.
 """
 
 from __future__ import annotations
@@ -64,13 +67,13 @@ class TestLivePendingCounter:
         assert sim.pending_count == 0
 
     def test_counter_is_not_derived_from_heap_scans(self):
-        """Tombstones sit in the lane heaps; the live counter must not
+        """Tombstones sit in the heap; the live counter must not
         see them.  ``heap_size`` (which deliberately *does* include
         tombstones) differing from ``pending_count`` proves the count
         is maintained incrementally rather than recomputed."""
         sim = Simulator()
         handles = [
-            sim.schedule(float(i + 1), lambda: None, lane="n") for i in range(8)
+            sim.schedule(float(i + 1), lambda: None) for i in range(8)
         ]
         for handle in handles[:4]:
             handle.cancel()
@@ -87,13 +90,13 @@ class TestLivePendingCounter:
 
 class TestLaneCompaction:
     def test_heap_stays_bounded_under_cancel_churn(self):
-        """Schedule/cancel cycles in one lane (the RCAD preemption
-        pattern) must not grow the lane heap without bound."""
+        """Schedule/cancel cycles (the RCAD preemption pattern) must
+        not grow the heap without bound."""
         sim = Simulator()
         cancelled = 0
         live = []
         for i in range(5000):
-            handle = sim.schedule(float(i + 1), lambda: None, lane="node-3")
+            handle = sim.schedule(float(i + 1), lambda: None)
             if i % 10 == 9:
                 live.append(handle)
             else:
@@ -113,13 +116,48 @@ class TestLaneCompaction:
         handles = []
         for i in range(1000):
             when = float(1 + (i * 37) % 1000)  # scrambled insertion order
-            handles.append(sim.schedule(when, fired.append, when, lane="a"))
+            handles.append(sim.schedule(when, fired.append, when))
         for i, handle in enumerate(handles):
             if i % 5 != 0:
                 handle.cancel()
         sim.run()
         assert fired == sorted(fired)
         assert len(fired) == sum(1 for i in range(1000) if i % 5 == 0)
+
+    def test_compaction_inside_run_until_callback(self):
+        """A callback that cancels enough events to compact the heap
+        while ``run_until`` is mid-loop: the loop must keep draining the
+        compacted heap, including events scheduled after the compaction,
+        in ``(when, seq)`` order, and count every cancellation once."""
+        sim = Simulator()
+        fired = []
+        handles = []
+        for i in range(300):
+            when = float(1 + i // 3)  # three events per instant: seq breaks ties
+            handles.append(sim.schedule(when, lambda w, s: fired.append((w, s)), when, i))
+        doomed = [h for i, h in enumerate(handles) if i % 4 != 0]
+        assert len(doomed) >= Simulator.COMPACT_MIN_DEAD
+        sizes = {}
+
+        def purge():
+            sizes["before"] = sim.heap_size
+            for handle in doomed:
+                handle.cancel()
+            sizes["after"] = sim.heap_size
+            for k in range(5):  # scheduled after the compaction
+                when = 50.5 + k
+                sim.schedule(when, lambda w, s: fired.append((w, s)), when, 1000 + k)
+
+        sim.schedule(0.5, purge)
+        sim.run_until(1000.0)
+        assert sizes["after"] < sizes["before"]  # compaction happened mid-run
+        survivors = [(float(1 + i // 3), i) for i in range(300) if i % 4 == 0]
+        late = [(50.5 + k, 1000 + k) for k in range(5)]
+        assert fired == sorted(survivors + late)
+        assert sim.events_skipped == len(doomed)
+        assert sim.pending_count == 0
+        assert sim.heap_size == 0
+        assert sim.events_processed == 1 + len(survivors) + len(late)
 
     def test_skipped_ratio_bounded_under_rcad_preemption(self):
         """End-to-end churn check: a heavily loaded RCAD run cancels a
