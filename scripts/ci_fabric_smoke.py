@@ -1,24 +1,32 @@
 #!/usr/bin/env python
-"""CI smoke test for the distributed sweep fabric.
+"""CI smoke test for the distributed sweep fabric (``--listen``).
 
-Starts a ``repro sweep-fabric`` coordinator (2 forked workers) on a
-small Figure 2 grid, SIGKILLs one worker mid-run, and asserts:
+Runs ``repro fig2 --listen 127.0.0.1:0 --jobs 2`` on a 9-cell grid and,
+while it runs:
 
-* the run still completes with exit code 0 and zero failed cells (the
-  killed worker's lease lapses and its cell is stolen and rerun);
-* the exported tables are byte-identical to a serial ``repro fig2`` run
-  against a *different* cache directory -- so the equality proves real
-  recomputation, not cache aliasing.
+* SIGKILLs one forked local worker while it holds a lease -- the worker
+  is found through the endpoint's ``status`` RPC and frozen with
+  SIGSTOP first, so the kill provably lands mid-cell -- and its cell
+  must be stolen after one lease TTL and rerun;
+* joins a ``repro worker --connect`` whose connection goes through
+  :class:`repro.runtime.chaosnet.ChaosProxy` with frame drops,
+  duplicate delivery and one full partition.
 
-If the run finishes before the kill lands (a very fast machine), the
-check degrades to "fabric output is serial-identical", which is still
-the acceptance property.
+Asserts that the run exits 0 with zero failed cells and at least one
+steal, that the chaos plan fired, that the remote worker left cleanly,
+and that the exported tables are byte-identical to a serial ``repro
+fig2`` run against a *different* cache directory -- so equality proves
+real recomputation under SIGKILL and a faulty network, not cache
+aliasing.  If every cell finishes before a lease can be caught (a very
+fast machine), the run is repeated, up to three attempts.
+
+Run from the repository root: ``python scripts/ci_fabric_smoke.py``.
 """
 
 from __future__ import annotations
 
-import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -26,115 +34,127 @@ import tempfile
 import time
 from pathlib import Path
 
-N_CELLS = 9  # 3 cases x 3 interarrivals
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.runtime.chaosnet import ChaosProxy, NetFaultPlan, PartitionWindow
+from repro.runtime.transport import TransportClient, parse_endpoint
+
 SWEEP = ["--packets", "300", "--interarrivals", "2,3,4", "--seed", "0"]
 ENV = {**os.environ, "PYTHONPATH": "src"}
+ATTEMPTS = 3
 
 
-def results_cells(fabric_dir: Path) -> int:
-    total = 0
-    results_dir = fabric_dir / "results"
-    if results_dir.is_dir():
-        for path in results_dir.glob("*.jsonl"):
-            total += sum(
-                1
-                for line in path.read_text(errors="replace").splitlines()
-                if '"cell"' in line
-            )
-    return total
+def repro(*argv: str, **popen) -> subprocess.Popen:
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=ENV, **popen,
+    )
 
 
-def live_worker_pids(fabric_dir: Path) -> list[int]:
-    pids = []
-    worker_dir = fabric_dir / "workers"
-    if worker_dir.is_dir():
-        for path in worker_dir.glob("*.json"):
-            if path.stem == "coordinator":
+def kill_a_lease_holder(address: str, coordinator: subprocess.Popen) -> int | None:
+    """SIGKILL a local worker that holds a lease; its pid, or None if
+    the sweep ended first."""
+    monitor = TransportClient(address, "smoke-monitor", max_retry_elapsed=5.0)
+    try:
+        while coordinator.poll() is None:
+            leases = monitor.call("status")["leases"]
+            holders = [w for w in leases.values() if w.startswith("local-")]
+            if not holders:
+                time.sleep(0.002)
                 continue
-            try:
-                payload = json.loads(path.read_text())
-            except Exception:
-                continue
-            if not payload.get("left") and payload.get("pid"):
-                pids.append(int(payload["pid"]))
-    return sorted(pids)
+            worker = holders[0]
+            pid = int(worker.removeprefix("local-"))
+            os.kill(pid, signal.SIGSTOP)
+            if worker in monitor.call("status")["leases"].values():
+                os.kill(pid, signal.SIGKILL)  # frozen mid-cell: a real loss
+                return pid
+            os.kill(pid, signal.SIGCONT)  # it finished first; try again
+    except Exception as exc:  # the endpoint went away: the sweep is over
+        print(f"monitor stopped: {exc!r}")
+    finally:
+        monitor.close()
+    return None
+
+
+def attempt(work: Path) -> tuple[str, Path] | None:
+    """One fabric run; its output and JSON export, or None if no worker
+    could be killed mid-cell."""
+    fabric_json = work / "fabric.json"
+    coordinator = repro(
+        "fig2", *SWEEP, "--listen", "127.0.0.1:0", "--jobs", "2",
+        "--cache-dir", str(work / "cache-fabric"), "--json", str(fabric_json),
+    )
+    banner = coordinator.stdout.readline()
+    match = re.search(r"listening on (\S+)", banner)
+    assert match, f"no endpoint banner: {banner!r}"
+    address = match.group(1)
+    killed = kill_a_lease_holder(address, coordinator)
+    print(f"killed local worker: {killed}")
+
+    # The chaos path: drops, duplicate delivery and one 2-second full
+    # partition, starting while the killed worker's lease waits out its
+    # TTL; frame-aligned and deterministic.
+    host, port = parse_endpoint(address)
+    plan = NetFaultPlan(
+        drop_probability=0.05,
+        duplicate_probability=0.05,
+        partitions=(PartitionWindow(start=2.0, duration=2.0),),
+        seed=7,
+    )
+    proxy = ChaosProxy(host, port, plan)
+    chaos_port = proxy.start()
+    remote = repro(
+        "worker", "--connect", f"127.0.0.1:{chaos_port}", "--worker-id", "chaos-worker",
+        "--cache-dir", str(work / "cache-remote"),
+    )
+    out, err = coordinator.communicate(timeout=300)
+    banner += out
+    remote_out, remote_err = remote.communicate(timeout=120)
+    proxy.stop()
+    print(banner)
+    print(f"remote worker: exit={remote.returncode} {remote_out.strip()}")
+    print(f"proxy: {proxy.stats}")
+
+    assert coordinator.returncode == 0, f"coordinator failed:\n{banner}\n{err}"
+    assert "failure report" not in banner, f"cells failed:\n{banner}"
+    if killed is None:
+        return None
+    steals = int(re.search(r"(\d+) steals", banner).group(1))
+    if steals == 0:  # the frozen worker's upload had already landed
+        return None
+    assert remote.returncode == 0, f"remote worker failed:\n{remote_out}\n{remote_err}"
+    assert proxy.stats.partitions_enforced == 1, proxy.stats
+    assert proxy.stats.frames_dropped + proxy.stats.frames_duplicated > 0, proxy.stats
+    return banner, fabric_json
 
 
 def main() -> int:
     work = Path(tempfile.mkdtemp(prefix="repro-fabric-smoke-"))
-    fabric_dir = work / "fabric"
-    fabric_cache = work / "cache-fabric"
-    serial_cache = work / "cache-serial"
-    fabric_json = work / "fabric.json"
-    serial_json = work / "serial.json"
-
-    coordinator = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "sweep-fabric", *SWEEP,
-            "--workers", "2", "--lease-ttl", "3", "--heartbeat-interval", "0.5",
-            "--fabric-dir", str(fabric_dir), "--cache-dir", str(fabric_cache),
-            "--json", str(fabric_json),
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=ENV,
-    )
-
-    # Wait until the workers are up and at least one cell has landed,
-    # then SIGKILL one worker -- ideally mid-cell.
-    killed = None
-    deadline = time.monotonic() + 300
-    while time.monotonic() < deadline and coordinator.poll() is None:
-        pids = live_worker_pids(fabric_dir)
-        if len(pids) >= 2 and results_cells(fabric_dir) >= 1:
-            killed = pids[0]
-            try:
-                os.kill(killed, signal.SIGKILL)
-            except ProcessLookupError:
-                killed = None  # it exited first; the run is nearly done
+    for number in range(1, ATTEMPTS + 1):
+        result = attempt(work / f"attempt-{number}")
+        if result is not None:
             break
-        time.sleep(0.1)
-    out, err = coordinator.communicate(timeout=500)
-    print(f"coordinator: exit={coordinator.returncode} killed_pid={killed}")
-    print(out)
-    assert coordinator.returncode == 0, (
-        f"coordinator failed ({coordinator.returncode}):\n{out}\n{err}"
-    )
-    assert f"fabric: {N_CELLS} cells" in out, f"wrong cell count:\n{out}"
-    assert "FAILED" not in out, f"cells failed:\n{out}"
-    completed = results_cells(fabric_dir)
-    assert completed >= N_CELLS, (
-        f"journals hold {completed} of {N_CELLS} cells"
-    )
+        print(f"attempt {number}: no worker was caught mid-cell; retrying")
+    else:
+        raise AssertionError(f"no worker was caught mid-cell in {ATTEMPTS} attempts")
+    _, fabric_json = result
 
-    serial = subprocess.run(
-        [
-            sys.executable, "-m", "repro", "fig2", *SWEEP,
-            "--cache-dir", str(serial_cache), "--json", str(serial_json),
-        ],
-        capture_output=True,
-        text=True,
-        env=ENV,
-        timeout=600,
+    serial_json = work / "serial.json"
+    serial = repro(
+        "fig2", *SWEEP, "--cache-dir", str(work / "cache-serial"), "--json", str(serial_json)
     )
-    assert serial.returncode == 0, (
-        f"serial reference failed ({serial.returncode}):\n"
-        f"{serial.stdout}\n{serial.stderr}"
-    )
-
+    serial_out, serial_err = serial.communicate(timeout=600)
+    assert serial.returncode == 0, f"serial reference failed:\n{serial_out}\n{serial_err}"
     for suffix in ("", ".latency.json"):
         fabric_bytes = Path(str(fabric_json) + suffix).read_bytes()
         serial_bytes = Path(str(serial_json) + suffix).read_bytes()
         assert fabric_bytes == serial_bytes, (
             f"fabric output differs from serial in *{suffix or '.json'}"
         )
-    if killed is None:
-        print("fabric smoke: OK (run finished before the kill; "
-              "serial-identical output verified)")
-    else:
-        print("fabric smoke: OK (worker SIGKILLed mid-run, zero lost "
-              "cells, serial-identical output)")
+    print(
+        "fabric smoke: OK (worker SIGKILLed mid-cell and its cell stolen; remote "
+        "worker through drops + duplicates + partition; serial-identical output)"
+    )
     return 0
 
 

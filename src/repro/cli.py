@@ -23,17 +23,9 @@ code.  Commands:
 * ``cache`` -- inspect and heal the on-disk result cache
   (``stats`` / ``verify`` / ``purge`` / ``prune --max-bytes N
   --compact-journals``);
-* ``sweep-fabric`` -- run the Figure 2 grid through the distributed
-  sweep fabric: a coordinator shards the cells into leased work units,
-  forks ``--workers`` local worker processes (external ``repro
-  worker`` processes may join), steals work from crashed workers, and
-  merges results bit-identical to a serial ``repro fig2`` run;
-  ``--listen HOST:PORT`` additionally serves the fabric over TCP for
-  workers without the shared directory mounted;
-* ``worker`` -- join a running (or upcoming) ``sweep-fabric``
-  coordinator from another shell or host, pointed at its fabric
-  directory and/or ``--connect HOST:PORT``; sharing a ``--cache-dir``
-  across workers deduplicates simulations between them;
+* ``worker`` -- join a simulation command started with ``--listen
+  HOST:PORT`` from another shell or host (``--connect HOST:PORT``) and
+  compute its sweep cells until the command ends;
 * ``serve`` -- run the streaming temporal-privacy service against a
   closed-loop load generator: sharded delay buffers, the tiered
   degradation ladder, Prometheus ``/metrics`` plus ``/healthz`` and
@@ -55,7 +47,11 @@ printed after the command), plus the resilience options ``--retries``,
 ``--item-timeout``, ``--quarantine`` and ``--resume`` (see
 EXPERIMENTS.md "Fault-tolerant sweeps").  An interrupted sweep
 (SIGINT) flushes its checkpoint journal and prints the ``--resume``
-command that skips the already-completed cells.
+command that skips the already-completed cells.  ``--listen
+HOST:PORT`` runs the sweeps on the distributed fabric instead of a
+local process pool: ``--jobs`` local workers plus every ``repro worker
+--connect HOST:PORT`` that joins, under the same retry, journal and
+bit-identity rules (EXPERIMENTS.md "Distributed sweeps").
 
 ``--telemetry`` instruments every simulation the command runs (buffer
 occupancy series, latency histograms, engine counters) and writes a
@@ -71,6 +67,7 @@ simulator entirely and are not re-instrumented (the manifest records
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -78,7 +75,7 @@ __all__ = ["main", "build_parser"]
 
 
 #: commands that run simulations and therefore take runtime options.
-_SIMULATION_COMMANDS = ("fig2", "fig3", "run", "chaos", "scenarios", "sweep-fabric")
+_SIMULATION_COMMANDS = ("fig2", "fig3", "run", "chaos", "scenarios")
 
 
 def _int_at_least(minimum: int, requirement: str):
@@ -99,6 +96,43 @@ def _int_at_least(minimum: int, requirement: str):
 #: the types of every verb's ``--packets`` and ``--seed``
 _positive_int = _int_at_least(1, "at least 1")
 _seed = _int_at_least(0, "non-negative")
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number above zero (NaN and inf rejected)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, got {text!r}"
+        )
+    return value
+
+
+def _positive_float_list(text: str) -> tuple[float, ...]:
+    """argparse type: comma-separated :func:`_positive_float` values."""
+    values = tuple(_positive_float(part) for part in text.split(",") if part.strip())
+    if not values:
+        raise argparse.ArgumentTypeError("expected comma-separated positive numbers")
+    return values
+
+
+def _endpoint(allow_port_zero: bool):
+    """argparse type: a ``host:port`` address (checked, kept as text)."""
+
+    def parse(text: str) -> str:
+        # Imported on use: the transport module loads asyncio.
+        from repro.runtime.transport import parse_endpoint
+
+        try:
+            parse_endpoint(text, allow_port_zero=allow_port_zero)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        return text
+
+    return parse
 
 
 def _add_runtime_options(sub: argparse.ArgumentParser) -> None:
@@ -122,9 +156,9 @@ def _add_runtime_options(sub: argparse.ArgumentParser) -> None:
         "exponential backoff (default 0 = fail fast)",
     )
     sub.add_argument(
-        "--item-timeout", type=float, default=None, metavar="SECONDS",
+        "--item-timeout", type=_positive_float, default=None, metavar="SECONDS",
         help="per-cell wall-clock timeout; a hung worker is killed and "
-        "the cell retried/quarantined (parallel runs only)",
+        "the cell retried/quarantined (parallel and --listen runs only)",
     )
     sub.add_argument(
         "--quarantine", action="store_true",
@@ -147,6 +181,13 @@ def _add_runtime_options(sub: argparse.ArgumentParser) -> None:
         "--telemetry-dir", type=str, default=None, metavar="PATH",
         help="where to write the manifest/series artifacts "
         "(default: <cache-dir>/telemetry)",
+    )
+    sub.add_argument(
+        "--listen", type=_endpoint(allow_port_zero=True), default=None,
+        metavar="HOST:PORT",
+        help="run the sweeps on the distributed fabric served at HOST:PORT "
+        "(port 0 = ephemeral, printed at start): --jobs local workers plus "
+        "every 'repro worker --connect HOST:PORT' that joins",
     )
 
 
@@ -174,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument("--seed", type=_seed, default=0, help="root random seed")
         sub.add_argument(
-            "--interarrivals", type=str, default="2,4,6,8,10,12,14,16,18,20",
+            "--interarrivals", type=_positive_float_list,
+            default="2,4,6,8,10,12,14,16,18,20",
             help="comma-separated 1/lambda sweep values",
         )
         sub.add_argument(
@@ -207,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--adversary", choices=("naive", "baseline", "adaptive"), default="baseline"
     )
-    run.add_argument("--interarrival", type=float, default=2.0)
+    run.add_argument("--interarrival", type=_positive_float, default=2.0)
     run.add_argument("--packets", type=_positive_int, default=1000)
     run.add_argument("--seed", type=_seed, default=0)
     run.add_argument("--flow", type=int, default=1, help="flow id to score (1..4)")
@@ -234,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated fault intensity values in [0, 1]",
     )
     chaos.add_argument(
-        "--interarrival", type=float, default=2.0, help="1/lambda of every source"
+        "--interarrival", type=_positive_float, default=2.0,
+        help="1/lambda of every source",
     )
     chaos.add_argument(
         "--no-arq", action="store_true",
@@ -327,12 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="global bound on buffered events; beyond it arrivals are shed",
     )
     serve.add_argument(
-        "--mean-delay", type=float, default=0.05,
+        "--mean-delay", type=_positive_float, default=0.05,
         help="mean exponential added delay in seconds",
     )
     serve.add_argument("--seed", type=_seed, default=0, help="root random seed")
     serve.add_argument(
-        "--rate", type=float, default=500.0, help="mean offered events/second"
+        "--rate", type=_positive_float, default=500.0,
+        help="mean offered events/second",
     )
     serve.add_argument(
         "--flows", type=int, default=8, help="synthetic flow ids to round-robin"
@@ -342,11 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="events to generate (0 = no load: restore a snapshot and drain)",
     )
     serve.add_argument(
-        "--duration", type=float, default=None, metavar="SECONDS",
+        "--duration", type=_positive_float, default=None, metavar="SECONDS",
         help="generate rate*duration events instead of --events",
     )
     serve.add_argument(
-        "--burst-factor", type=float, default=1.0,
+        "--burst-factor", type=_positive_float, default=1.0,
         help="1 = steady Poisson arrivals; >1 = Markov on/off bursts at "
         "rate*burst-factor during ON periods (same mean rate)",
     )
@@ -365,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a JSON run report (outcomes, releases, stats) to PATH",
     )
     serve.add_argument(
-        "--drain-timeout", type=float, default=60.0, metavar="SECONDS",
+        "--drain-timeout", type=_positive_float, default=60.0, metavar="SECONDS",
         help="max wall time to wait for buffers to empty on drain",
     )
     serve.add_argument(
@@ -374,92 +418,23 @@ def build_parser() -> argparse.ArgumentParser:
         "print the BENCH_service.json payload",
     )
 
-    fabric = commands.add_parser(
-        "sweep-fabric",
-        help="run the Figure 2 grid through the distributed sweep "
-        "fabric (lease-based coordinator + worker processes)",
-    )
-    fabric.add_argument(
-        "--packets", type=_positive_int, default=1000,
-        help="packets per source (paper: 1000)",
-    )
-    fabric.add_argument("--seed", type=_seed, default=0, help="root random seed")
-    fabric.add_argument(
-        "--interarrivals", type=str, default="2,4,6,8,10,12,14,16,18,20",
-        help="comma-separated 1/lambda sweep values",
-    )
-    fabric.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="local worker processes the coordinator forks (default 2; "
-        "0 = rely on externally joined 'repro worker' processes, with "
-        "in-process serial completion as the fallback)",
-    )
-    fabric.add_argument(
-        "--lease-ttl", type=float, default=30.0, metavar="SECONDS",
-        help="heartbeat silence after which a worker's leases expire "
-        "and its cells are stolen (default 30)",
-    )
-    fabric.add_argument(
-        "--heartbeat-interval", type=float, default=None, metavar="SECONDS",
-        help="worker heartbeat renewal period (default lease-ttl / 3; "
-        "must be below --lease-ttl)",
-    )
-    fabric.add_argument(
-        "--fabric-dir", type=str, default=None, metavar="PATH",
-        help="shared fabric state directory (default: "
-        "<cache-dir>/fabric/<sweep-id>); external workers point "
-        "'repro worker' here",
-    )
-    fabric.add_argument(
-        "--listen", type=str, default=None, metavar="HOST:PORT",
-        help="also serve the fabric over TCP on HOST:PORT (port 0 = "
-        "ephemeral); remote workers join with "
-        "'repro worker --connect HOST:PORT'",
-    )
-    fabric.add_argument(
-        "--chart", action="store_true",
-        help="also draw ASCII bar charts of the series",
-    )
-    fabric.add_argument(
-        "--csv", type=str, default=None, metavar="PATH",
-        help="also write the series as CSV to PATH "
-             "(writes PATH and PATH.latency.csv)",
-    )
-    fabric.add_argument(
-        "--json", type=str, default=None, metavar="PATH",
-        help="also write the series as JSON to PATH "
-             "(writes PATH and PATH.latency.json)",
-    )
-    _add_runtime_options(fabric)
-
     worker = commands.add_parser(
         "worker",
-        help="join a sweep-fabric run as an external worker process",
+        help="join a command started with --listen as a remote worker",
     )
     worker.add_argument(
-        "fabric_dir", nargs="?", default=None,
-        help="the coordinator's fabric directory (printed by, and "
-        "settable with, 'repro sweep-fabric --fabric-dir'); optional "
-        "when --connect is given",
-    )
-    worker.add_argument(
-        "--connect", type=str, default=None, metavar="HOST:PORT",
-        help="join over TCP instead of (or in addition to) a shared "
-        "fabric directory; with both, the directory is the fallback "
-        "if the transport is lost",
+        "--connect", type=_endpoint(allow_port_zero=False), required=True,
+        metavar="HOST:PORT", help="the coordinator's --listen address",
     )
     worker.add_argument(
         "--worker-id", type=str, default=None, metavar="ID",
         help="unique worker id (default: <hostname>-<pid>)",
     )
     worker.add_argument(
-        "--heartbeat-interval", type=float, default=None, metavar="SECONDS",
-        help="heartbeat renewal period (default: the grid's setting)",
-    )
-    worker.add_argument(
         "--cache-dir", type=str, default=None, metavar="PATH",
-        help="result cache to read/write (default: the grid's setting; "
-        "sharing one directory across workers deduplicates work)",
+        help="result cache to read/write (default: $REPRO_CACHE_DIR or "
+        "~/.cache/repro/results; sharing one directory across workers "
+        "deduplicates work)",
     )
 
     cache = commands.add_parser(
@@ -497,20 +472,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prune.add_argument(
         "--compact-journals", action="store_true",
-        help="rewrite every sweep/fabric journal keeping only the last "
-        "record per cell (drops superseded duplicates, lease/steal "
-        "event lines and corrupt lines); do not run against a live "
-        "sweep",
+        help="rewrite every sweep journal keeping only the last record "
+        "per cell (drops superseded duplicates and corrupt lines); do "
+        "not run against a live sweep",
     )
     return parser
 
 
 def _validate_runtime_options(args: argparse.Namespace) -> None:
-    """Reject nonsensical runtime options up front.
+    """Reject nonsensical integer runtime options up front.
 
-    A negative ``--jobs`` / ``--retries`` / ``--item-timeout`` used to
-    surface as a deep traceback from the executor or supervisor; fail
-    fast with the same style of message ``_parse_sweep`` uses.
+    A negative ``--jobs`` / ``--retries`` used to surface as a deep
+    traceback from the executor or supervisor; fail fast instead.  The
+    float options are checked at parse time by their argparse types.
     """
     if args.jobs < 0:
         raise SystemExit(
@@ -518,54 +492,6 @@ def _validate_runtime_options(args: argparse.Namespace) -> None:
         )
     if args.retries < 0:
         raise SystemExit(f"--retries must be non-negative, got {args.retries}")
-    if args.item_timeout is not None and args.item_timeout <= 0:
-        raise SystemExit(
-            f"--item-timeout must be a positive number of seconds, "
-            f"got {args.item_timeout:g}"
-        )
-
-
-def _validate_fabric_options(args: argparse.Namespace) -> None:
-    """Reject nonsensical fabric options before any process is forked."""
-    if args.workers < 0:
-        raise SystemExit(
-            f"--workers must be non-negative (0 = external workers only), "
-            f"got {args.workers}"
-        )
-    if args.lease_ttl <= 0:
-        raise SystemExit(
-            f"--lease-ttl must be a positive number of seconds, "
-            f"got {args.lease_ttl:g}"
-        )
-    if args.heartbeat_interval is not None:
-        if args.heartbeat_interval <= 0:
-            raise SystemExit(
-                f"--heartbeat-interval must be a positive number of "
-                f"seconds, got {args.heartbeat_interval:g}"
-            )
-        if args.heartbeat_interval >= args.lease_ttl:
-            raise SystemExit(
-                f"--heartbeat-interval ({args.heartbeat_interval:g}s) must "
-                f"be below --lease-ttl ({args.lease_ttl:g}s), or every "
-                f"lease expires between renewals"
-            )
-    if args.listen is not None:
-        from repro.runtime.transport import parse_endpoint
-
-        try:
-            parse_endpoint(args.listen, allow_port_zero=True)
-        except ValueError as exc:
-            raise SystemExit(f"invalid --listen endpoint: {exc}")
-
-
-def _parse_sweep(raw: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in raw.split(",") if part.strip())
-    except ValueError:
-        raise SystemExit(f"invalid --interarrivals value: {raw!r}")
-    if not values or any(v <= 0 for v in values):
-        raise SystemExit("--interarrivals needs positive comma-separated numbers")
-    return values
 
 
 def _cmd_fig1() -> None:
@@ -588,7 +514,7 @@ def _cmd_fig2(args: argparse.Namespace) -> None:
     from repro.experiments.fig2 import figure2
 
     mse, latency = figure2(
-        interarrivals=_parse_sweep(args.interarrivals),
+        interarrivals=args.interarrivals,
         n_packets=args.packets,
         seed=args.seed,
     )
@@ -612,7 +538,7 @@ def _cmd_fig3(args: argparse.Namespace) -> None:
     from repro.experiments.fig3 import figure3
 
     table = figure3(
-        interarrivals=_parse_sweep(args.interarrivals),
+        interarrivals=args.interarrivals,
         n_packets=args.packets,
         seed=args.seed,
         include_path_aware=args.path_aware,
@@ -627,103 +553,28 @@ def _cmd_fig3(args: argparse.Namespace) -> None:
     _export(table, args.json, "json")
 
 
-def _cmd_sweep_fabric(args: argparse.Namespace) -> None:
-    from repro.experiments.fig2 import fig2_cell, fig2_cells, fig2_tables
-    from repro.runtime import FabricConfig, current_runtime
-    from repro.runtime.fabric import FabricError, run_fabric
-
-    cells = fig2_cells(
-        _parse_sweep(args.interarrivals), n_packets=args.packets, seed=args.seed
-    )
-    context = current_runtime()
-    config = FabricConfig(
-        workers=args.workers,
-        lease_ttl=args.lease_ttl,
-        heartbeat_interval=args.heartbeat_interval,
-        fabric_dir=args.fabric_dir,
-        listen=args.listen,
-    )
-    try:
-        results, report = run_fabric(
-            fig2_cell, cells, config=config, label="fig2", retry=context.retry
-        )
-    except FabricError as exc:
-        raise SystemExit(str(exc))
-    if report.failed:
-        print(report.render())
-        raise SystemExit(
-            f"{len(report.failed)} cells failed permanently; see the "
-            f"journals under {report.fabric_dir}"
-        )
-    mse, latency = fig2_tables(cells, results)
-    print(mse.render())
-    print()
-    print(latency.render())
-    if args.chart:
-        from repro.analysis.charts import render_chart
-
-        print()
-        print(render_chart(mse, log_scale=True))
-        print()
-        print(render_chart(latency))
-    _export(mse, args.csv, "csv")
-    _export(latency, args.csv, "csv", suffix="latency")
-    _export(mse, args.json, "json")
-    _export(latency, args.json, "json", suffix="latency")
-    print()
-    print(f"fabric dir: {report.fabric_dir}")
-    print(report.render())
-
-
 def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.runtime.fabric import FabricError, FabricWorker
-    from repro.runtime.transport import TransportError, parse_endpoint
+    import os
+    import socket
 
-    if args.heartbeat_interval is not None and args.heartbeat_interval <= 0:
-        raise SystemExit(
-            f"--heartbeat-interval must be a positive number of seconds, "
-            f"got {args.heartbeat_interval:g}"
-        )
-    if args.connect is not None:
-        try:
-            parse_endpoint(args.connect)
-        except ValueError as exc:
-            raise SystemExit(f"invalid --connect endpoint: {exc}")
-    if args.fabric_dir is None and args.connect is None:
-        raise SystemExit(
-            "worker needs a fabric directory, --connect HOST:PORT, or both"
-        )
-    try:
-        worker = FabricWorker(
-            args.fabric_dir,
-            worker_id=args.worker_id,
-            cache_dir=args.cache_dir,
-            heartbeat_interval=args.heartbeat_interval,
-            connect=args.connect,
-        )
-    except (FabricError, TransportError) as exc:
-        raise SystemExit(str(exc))
-    joined = args.connect if worker.fabric_dir is None else worker.fabric_dir
-    print(
-        f"worker {worker.worker_id} joined {joined} "
-        f"({len(worker.items)} cells, lease ttl {worker.lease_ttl:g}s)",
-        flush=True,
+    from repro.runtime import default_cache_dir
+    from repro.runtime.fabric import FabricError, FabricWorker
+    from repro.runtime.transport import TransportClient, TransportError
+
+    worker_id = args.worker_id or f"{socket.gethostname()}-{os.getpid()}"
+    worker = FabricWorker(
+        TransportClient(args.connect, worker_id),
+        cache_dir=args.cache_dir or default_cache_dir(),
     )
+    print(f"worker {worker_id} joining {args.connect}", flush=True)
     try:
         computed = worker.run()
     except KeyboardInterrupt:
-        print(f"worker {worker.worker_id}: interrupted, leases will lapse")
+        print(f"worker {worker_id}: interrupted, its leases will lapse")
         return 130
-    except FabricError as exc:
-        print(f"worker {worker.worker_id}: {exc}")
-        return 1
-    degraded = " (transport lost, finished via shared directory)" if (
-        worker.transport_degraded
-    ) else ""
-    print(
-        f"worker {worker.worker_id}: computed {computed} cells "
-        f"({worker.steals} stolen from expired leases){degraded}"
-    )
+    except (FabricError, TransportError) as exc:
+        raise SystemExit(f"worker {worker_id}: {exc}")
+    print(f"worker {worker_id}: computed {computed} cells")
     return 0
 
 
@@ -986,24 +837,16 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _validate_serve_options(args: argparse.Namespace) -> None:
-    if args.rate <= 0:
-        raise SystemExit(f"--rate must be positive, got {args.rate:g}")
     if args.flows < 1:
         raise SystemExit(f"--flows must be at least 1, got {args.flows}")
     if args.events < 0:
         raise SystemExit(f"--events must be non-negative, got {args.events}")
-    if args.duration is not None and args.duration <= 0:
-        raise SystemExit(f"--duration must be positive, got {args.duration:g}")
     if args.burst_factor < 1.0:
         raise SystemExit(
             f"--burst-factor must be at least 1, got {args.burst_factor:g}"
         )
     if args.port < -1:
         raise SystemExit(f"--port must be -1, 0 or a port number, got {args.port}")
-    if args.drain_timeout <= 0:
-        raise SystemExit(
-            f"--drain-timeout must be positive, got {args.drain_timeout:g}"
-        )
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1217,9 +1060,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             from repro.runtime import compact_journal
 
             targets = [p for p in journal_files() if p.suffix == ".jsonl"]
-            fabric_root = cache.directory / "fabric"
-            if fabric_root.is_dir():
-                targets.extend(sorted(fabric_root.glob("*/results/*.jsonl")))
             reclaimed = dropped = 0
             for path in targets:
                 stats = compact_journal(path)
@@ -1253,8 +1093,6 @@ def _dispatch(args: argparse.Namespace) -> None:
         _cmd_chaos(args)
     elif args.command == "scenarios":
         _cmd_scenarios(args)
-    elif args.command == "sweep-fabric":
-        _cmd_sweep_fabric(args)
     elif args.command == "theory":
         _cmd_theory(args.fast)
     elif args.command == "queueing":
@@ -1304,8 +1142,6 @@ def _main(argv: Sequence[str] | None = None) -> int:
     )
 
     _validate_runtime_options(args)
-    if args.command == "sweep-fabric":
-        _validate_fabric_options(args)
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     cache = None
     if not args.no_cache:
@@ -1318,6 +1154,11 @@ def _main(argv: Sequence[str] | None = None) -> int:
         on_failure="quarantine" if args.quarantine else "raise",
     )
     journal_dir = cache.directory / "journal" if cache is not None else None
+    fabric_errors: tuple = ()
+    if args.listen is not None:
+        from repro.runtime.fabric import FabricError
+
+        fabric_errors = (FabricError,)
     started_at = time.time()
     started_clock = time.monotonic()
     try:
@@ -1328,12 +1169,22 @@ def _main(argv: Sequence[str] | None = None) -> int:
             journal_dir=journal_dir,
             resume=args.resume,
             telemetry=args.telemetry,
+            listen=args.listen,
         ) as context:
+            if args.listen is not None:
+                address = context.executor.address
+                print(
+                    f"fabric endpoint listening on {address} "
+                    f"(join with: repro worker --connect {address})",
+                    flush=True,
+                )
             _dispatch(args)
     except KeyboardInterrupt:
         # The supervisor already flushed the journal and printed the
         # resume hint; exit with the conventional SIGINT code.
         return 130
+    except fabric_errors as exc:
+        raise SystemExit(str(exc))
     if args.telemetry:
         import dataclasses
         from pathlib import Path
@@ -1362,6 +1213,8 @@ def _main(argv: Sequence[str] | None = None) -> int:
             telemetry_dir, args.command, manifest, context.telemetry
         )
         print(f"telemetry manifest: {manifest_path}")
+    if args.listen is not None:
+        print(context.executor.render())
     if cache is not None:
         print(cache.stats.render())
     if journal_dir is not None:

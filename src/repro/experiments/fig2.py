@@ -58,8 +58,8 @@ def fig2_cells(
 
     Every cell carries all of its parameters so :func:`fig2_cell` is an
     importable module-level function (``repro.experiments.fig2:fig2_cell``)
-    -- which is what lets ``repro worker`` processes on other hosts join
-    a fabric run of this grid.
+    -- which is what lets ``repro worker --connect`` processes on other
+    hosts join a ``repro fig2 --listen`` run of this grid.
     """
     return [
         (case, float(interarrival), int(n_packets), int(seed), int(flow_id))
@@ -86,8 +86,8 @@ def fig2_tables(
 ) -> tuple[ExperimentTable, ExperimentTable]:
     """Assemble both Figure 2 panels from per-cell scores.
 
-    Shared by :func:`figure2` and ``repro sweep-fabric`` so the two
-    paths produce bit-identical tables from the same per-cell values.
+    Kept apart from :func:`figure2` so a caller holding per-cell values
+    from any executor builds the same tables.
     """
     mse_table = ExperimentTable(
         title="Figure 2(a): adversary estimation error, flow S1",

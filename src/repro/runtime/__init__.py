@@ -31,15 +31,15 @@ per-cell simulator invocation.  This package instruments both:
 * :mod:`repro.runtime.journal` -- the append-only checkpoint journal
   (JSONL of completed cell results, checksummed line-by-line) that
   makes interrupted sweeps resumable via ``--resume``;
-* :mod:`repro.runtime.fabric` -- the distributed sweep fabric: a
-  lease-based coordinator/worker layer over the journal and cache that
-  shards one grid across worker processes (or hosts sharing a cache
-  directory), steals work from crashed workers, and merges results in
-  item order so distributed runs stay bit-identical to serial;
-* :mod:`repro.runtime.transport` -- the fabric's TCP access path:
+* :mod:`repro.runtime.fabric` -- the distributed sweep fabric: under
+  ``--listen HOST:PORT`` the supervisor runs sweeps on a TCP worker pool
+  (``--jobs`` forked local workers plus any ``repro worker --connect``)
+  instead of a fork pool, with the same retries, journal and item-order
+  merge, so distributed runs stay bit-identical to serial;
+* :mod:`repro.runtime.transport` -- the fabric's wire and server:
   length-prefixed sha256-checksummed frames, an idempotent RPC client
-  with capped exponential backoff, and the coordinator-side asyncio
-  endpoint that gateways RPCs onto the fabric directory;
+  with capped exponential backoff, and the asyncio endpoint that keeps
+  the leases in memory and judges them in server time;
 * :mod:`repro.runtime.chaosnet` -- an in-process frame-aware chaos
   proxy (latency, drops, duplicates, mid-frame resets, partitions)
   that proves the transport's fault tolerance in tests and CI.
@@ -92,10 +92,7 @@ _LAZY = {
         "chaosnet",
     ),
     **dict.fromkeys(
-        (
-            "FabricConfig", "FabricError", "FabricReport", "FabricWorker",
-            "FilesystemClock", "SystemClock", "run_fabric",
-        ),
+        ("FabricError", "FabricExecutor", "FabricPool", "FabricWorker"),
         "fabric",
     ),
     **dict.fromkeys(
@@ -149,13 +146,10 @@ __all__ = [
     "RetryPolicy",
     "Supervisor",
     "supervised_map",
-    "FabricConfig",
     "FabricError",
-    "FabricReport",
+    "FabricExecutor",
+    "FabricPool",
     "FabricWorker",
-    "FilesystemClock",
-    "SystemClock",
-    "run_fabric",
     "Backoff",
     "FabricEndpoint",
     "FrameError",

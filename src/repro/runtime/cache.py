@@ -218,8 +218,8 @@ class ResultCache:
         payload = pickle.dumps(
             (float(elapsed), result), protocol=pickle.HIGHEST_PROTOCOL
         )
-        # Atomic publish: concurrent workers (possibly on other hosts,
-        # via the fabric's shared-cache-dir mode) may race on the same
+        # Atomic publish: concurrent workers (possibly fabric workers on
+        # other hosts sharing one --cache-dir) may race on the same
         # key, but every one of them writes the identical byte-for-byte
         # payload, so last-replace-wins is harmless.  The fsync before
         # the rename keeps a power-cut from publishing a name whose

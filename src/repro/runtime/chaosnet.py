@@ -22,7 +22,7 @@ relay.
 
 Typical use::
 
-    endpoint = FabricEndpoint(fabric_dir)          # the real server
+    endpoint = FabricEndpoint()                    # the real server
     port = endpoint.start()
     proxy = ChaosProxy(
         "127.0.0.1", port,

@@ -107,6 +107,7 @@ def use_runtime(
     journal_dir: str | Path | None = None,
     resume: bool = False,
     telemetry: bool = False,
+    listen: str | None = None,
 ) -> Iterator[RuntimeContext]:
     """Activate an executor/cache pairing for the enclosed experiments.
 
@@ -135,11 +136,19 @@ def use_runtime(
         histograms, engine counters) into ``ctx.telemetry``.  Changes
         cache identities: instrumented results are cached under
         distinct keys from plain ones.
+    listen:
+        ``host:port`` to serve the distributed sweep fabric on
+        (:mod:`repro.runtime.fabric`): sweeps then run on ``jobs`` local
+        workers plus any ``repro worker --connect`` that joins.
     """
     if cache is None and cache_dir is not None:
         cache = ResultCache(cache_dir)
     executor: Executor
-    if jobs <= 1:
+    if listen is not None:
+        from repro.runtime.fabric import FabricExecutor
+
+        executor = FabricExecutor(jobs, listen)
+    elif jobs <= 1:
         executor = SerialExecutor()
     else:
         executor = ParallelExecutor(jobs, chunk_size=chunk_size)
@@ -155,7 +164,10 @@ def use_runtime(
     try:
         yield context
     finally:
-        _STACK.pop()
+        try:
+            executor.close()
+        finally:
+            _STACK.pop()
 
 
 def run_simulation(config: "SimulationConfig") -> "SimulationResult":

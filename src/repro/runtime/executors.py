@@ -94,9 +94,15 @@ class Executor(abc.ABC):
     #: Worker-process count this executor targets (1 for serial).
     jobs: int = 1
 
+    #: Pool factory for the supervisor; None keeps its local fork pool.
+    new_pool: Callable[[], object] | None = None
+
     @abc.abstractmethod
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         """Evaluate ``fn`` on every item, returning results in item order."""
+
+    def close(self) -> None:
+        """Release what the executor holds (called on context exit)."""
 
 
 class SerialExecutor(Executor):

@@ -49,10 +49,7 @@ def encode_cell_entry(index: int, value: object) -> dict | None:
     """One completed cell as a checksummed JSONL-ready record.
 
     Returns None when ``value`` cannot be pickled (the cell simply is
-    not resumable).  The format is shared between :class:`SweepJournal`
-    and the fabric's per-worker result journals
-    (:mod:`repro.runtime.fabric`), so either side can load the other's
-    records.
+    not resumable).
     """
     try:
         data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
@@ -239,10 +236,10 @@ class CompactionStats:
 def compact_journal(path: str | Path) -> CompactionStats:
     """Rewrite one journal keeping only the last record per cell.
 
-    Retried cells, fabric steals and coordinator restarts all append
-    fresh records for indices that already have one, and fabric worker
-    journals additionally carry ``event`` lines (claims, steals, lease
-    reclaims) that matter only while the run is live.  Compaction keeps:
+    Retried cells and resumed runs append fresh records for indices
+    that already have one, and journals may carry ``event`` or
+    ``failed`` lines that matter only while a run is live.  Compaction
+    keeps:
 
     * the first ``header`` line, verbatim;
     * the *last* ``cell`` line per index (later lines win on load, so

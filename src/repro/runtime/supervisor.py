@@ -26,6 +26,11 @@ with exponential backoff, journaled on completion, or quarantined:
 * **graceful degradation** -- if a worker pool cannot be (re)built at
   all, the remaining items fall back to the in-process serial path
   without losing any completed result;
+* **pluggable pools** -- the pool is a local fork pool by default; the
+  executor's ``new_pool`` can supply another with the same
+  ``submit``/``shutdown`` surface, which is how ``--listen`` runs a
+  sweep on the TCP worker pool of :mod:`repro.runtime.fabric` under
+  exactly these rules;
 * **checkpoint/resume** -- completed cells are appended to the sweep's
   :class:`~repro.runtime.journal.SweepJournal`; a resumed run loads
   them back and computes only the missing cells, and a SIGINT flushes
@@ -164,11 +169,13 @@ class Supervisor:
         jobs: int = 1,
         journal: SweepJournal | None = None,
         label: str = "<sweep>",
+        pool_factory: Callable[[], object] | None = None,
     ) -> None:
         self.policy = policy
         self.jobs = max(1, int(jobs))
         self.journal = journal
         self.label = label
+        self._pool_factory = pool_factory
 
     # ------------------------------------------------------------------
     def run(
@@ -224,12 +231,9 @@ class Supervisor:
 
     # ------------------------------------------------------------------
     def _parallel_viable(self, n_pending: int) -> bool:
-        if (
-            self.jobs <= 1
-            or n_pending <= 1
-            or _executors._IN_WORKER
-            or _executors._ACTIVE is not None
-        ):
+        if _executors._IN_WORKER or _executors._ACTIVE is not None:
+            return False
+        if self._pool_factory is None and (self.jobs <= 1 or n_pending <= 1):
             return False
         # Imported only once a pool is in prospect: serial runs never
         # load the multiprocessing stack.
@@ -375,7 +379,8 @@ class Supervisor:
                         index = probe.popleft()
                         self._submit(pool, index, inflight, now)
                 else:
-                    while queue and len(inflight) < self.jobs:
+                    # A fabric pool's capacity grows as workers join.
+                    while queue and len(inflight) < getattr(pool, "capacity", self.jobs):
                         index = queue.popleft()
                         self._submit(pool, index, inflight, now)
                 if not inflight:
@@ -463,6 +468,8 @@ class Supervisor:
         from concurrent.futures import ProcessPoolExecutor
 
         try:
+            if self._pool_factory is not None:
+                return self._pool_factory()
             return ProcessPoolExecutor(
                 max_workers=self.jobs,
                 mp_context=multiprocessing.get_context("fork"),
@@ -534,6 +541,7 @@ def supervised_map(
         jobs=context.executor.jobs,
         journal=journal,
         label=label,
+        pool_factory=context.executor.new_pool,
     )
     try:
         results, report = supervisor.run(fn, items, completed=completed)

@@ -1,78 +1,56 @@
-"""TCP transport for the distributed sweep fabric.
+"""TCP transport of the distributed sweep fabric.
 
-The fabric (:mod:`repro.runtime.fabric`) coordinates workers through a
-shared *fabric directory*: an immutable grid, lease files claimed with
-``O_CREAT | O_EXCL``, heartbeat files, and checksummed per-worker result
-journals.  That protocol caps the fleet at one filesystem mount.  This
-module lifts the same protocol onto TCP **without changing it**: the
-coordinator runs a :class:`FabricEndpoint` -- an asyncio server whose
-RPCs are a gateway onto the coordinator's own fabric directory -- and
-remote workers drive it through a :class:`TransportClient`.
+The fabric (:mod:`repro.runtime.fabric`) is the worker pool the
+:class:`~repro.runtime.supervisor.Supervisor` drives when a command runs
+with ``--listen HOST:PORT``.  This module is its wire and its server.
 
-Because every RPC lands in the directory (a ``claim`` is a lease file,
-a ``heartbeat`` is a heartbeat file, an ``upload`` is an appended
-journal line), all of the fabric's crash-tolerance machinery works
-unchanged for networked workers: expired leases are stolen, torn
-journal lines are ignored, the coordinator merges in item order, and a
-dead fleet still degrades to in-process serial completion.  The
-transport adds nothing that must be trusted for correctness -- it is an
-*access path*, and the invariants live where they always did.
+**Frames.**  A 4-byte big-endian length, then a UTF-8 JSON envelope
+``{"v": 2, "sha": <hex>, "payload": {...}}`` whose ``sha`` is the
+SHA-256 of the canonical payload encoding (sorted keys, compact
+separators): a torn or bit-flipped frame is detected and retransmitted,
+never acted on.  Cell results and grid items travel inside payloads as
+base64 pickles with their own SHA-256 (:func:`pack_blob`).
 
-Wire format
------------
+**Delivery.**  Every RPC is idempotent, so :class:`TransportClient`
+retransmits blindly after any transport failure: ``acquire`` hands a
+worker back the lease it already holds; the first ``upload`` of a cell
+completes its future and any later one (a retransmission, or the first
+owner of a stolen lease finishing after all) is counted as a duplicate
+and dropped -- cells are deterministic, so the bytes agree anyway; the
+other RPCs change nothing a replay could corrupt.
 
-One frame is a 4-byte big-endian length followed by a UTF-8 JSON
-envelope::
-
-    uint32_be(len) || {"v": 1, "sha": <hex>, "payload": {...}}
-
-``sha`` is the SHA-256 of the *canonical* payload encoding (sorted
-keys, compact separators) -- the same checksum-the-record discipline as
-the result journals, so a torn or bit-flipped frame is detected at the
-frame layer and surfaces as a retransmission, never as corrupt state.
-Result uploads additionally carry the journal's own per-record checksum
-(:func:`repro.runtime.journal.encode_cell_entry`), verified server-side
-before the line is appended.
-
-Delivery semantics
-------------------
-
-Every RPC is idempotent, so the client may blindly retransmit after any
-transport failure (at-least-once delivery):
-
-* ``claim``/``acquire`` -- re-claiming a lease you already own is a
-  no-op success (same epoch); claims race through ``O_CREAT | O_EXCL``
-  exactly as on a shared filesystem;
-* ``upload`` -- byte-identical re-uploads are deduplicated server-side
-  by ``(worker, index, sha)``; duplicates that slip through anyway
-  (endpoint restart) are deduplicated at merge time by item index,
-  later record wins -- cells are deterministic, so the bytes agree;
-* ``heartbeat``/``status``/``hello``/``grid``/``bye`` -- trivially
-  idempotent.
-
-Every response carries the coordinator's clock (``"t"``), which is the
-authoritative time base for lease expiry -- a worker with a skewed
-wall clock cannot prematurely steal a live lease because it never does
-expiry arithmetic itself (the server does, with server time).
+**Leases.**  :class:`FabricEndpoint` keeps the armed sweep's queue,
+leases and futures in memory and judges them by its own clock: every
+RPC refreshes its worker's last-heard time, so workers do no clock
+arithmetic and cross-host skew is harmless.  A lease whose worker has
+been silent for :data:`LEASE_TTL` seconds goes back to the front of the
+queue for another worker -- a steal, not a charged failure.  If cells
+are outstanding and no worker running the sweep has been heard from for
+one TTL, the endpoint fails their futures; the supervisor handles that
+as a worker crash.
 """
 
 from __future__ import annotations
 
 import asyncio
+import base64
 import hashlib
 import json
-import os
+import pickle
 import random
 import socket
 import struct
 import threading
 import time
+from collections import deque
+from concurrent.futures import Future
 from dataclasses import asdict, dataclass
-from pathlib import Path
+from typing import Sequence
 
 __all__ = [
     "TRANSPORT_VERSION",
     "MAX_FRAME_BYTES",
+    "LEASE_TTL",
     "TransportError",
     "TransportDown",
     "FrameError",
@@ -82,22 +60,25 @@ __all__ = [
     "decode_frame",
     "send_frame",
     "recv_frame",
-    "read_frame",
-    "write_frame",
+    "pack_blob",
+    "unpack_blob",
     "Backoff",
     "TransportStats",
     "EndpointStats",
     "TransportClient",
-    "NetHeartbeat",
     "FabricEndpoint",
 ]
 
 #: Bump on any incompatible change to the frame or RPC format.
-TRANSPORT_VERSION = 1
+TRANSPORT_VERSION = 2
 
 #: Upper bound on one frame; a length prefix beyond this is treated as
 #: stream corruption, not an allocation request.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Seconds of silence after which a worker's leases are re-leased.
+#: Workers heartbeat every ``LEASE_TTL / 3`` seconds.
+LEASE_TTL = 10.0
 
 _LEN = struct.Struct(">I")
 
@@ -127,9 +108,7 @@ def parse_endpoint(
     listen endpoints; connect endpoints need a real port.
     """
     if not isinstance(text, str) or ":" not in text:
-        raise ValueError(
-            f"endpoint must look like host:port, got {text!r}"
-        )
+        raise ValueError(f"endpoint must look like host:port, got {text!r}")
     host, _, port_text = text.rpartition(":")
     host = host.strip("[]")  # tolerate [::1]:port
     if not host:
@@ -142,9 +121,7 @@ def parse_endpoint(
         ) from None
     low = 0 if allow_port_zero else 1
     if not low <= port <= 65535:
-        raise ValueError(
-            f"endpoint port must be in [{low}, 65535], got {port}"
-        )
+        raise ValueError(f"endpoint port must be in [{low}, 65535], got {port}")
     return host, port
 
 
@@ -158,27 +135,22 @@ def format_endpoint(host: str, port: int) -> str:
 
 
 def _canonical(payload: dict) -> bytes:
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def encode_frame(payload: dict) -> bytes:
     """One payload as a length-prefixed checksummed wire frame."""
-    body = _canonical(payload)
     envelope = json.dumps(
         {
             "v": TRANSPORT_VERSION,
-            "sha": hashlib.sha256(body).hexdigest(),
+            "sha": hashlib.sha256(_canonical(payload)).hexdigest(),
             "payload": payload,
         },
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
     if len(envelope) > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"frame of {len(envelope)} bytes exceeds {MAX_FRAME_BYTES}"
-        )
+        raise FrameError(f"frame of {len(envelope)} bytes exceeds {MAX_FRAME_BYTES}")
     return _LEN.pack(len(envelope)) + envelope
 
 
@@ -188,10 +160,9 @@ def decode_frame(body: bytes) -> dict:
         envelope = json.loads(body.decode("utf-8"))
     except Exception as exc:
         raise FrameError(f"unparsable frame: {exc!r}") from exc
-    if not isinstance(envelope, dict) or envelope.get("v") != TRANSPORT_VERSION:
-        raise FrameError(
-            f"unsupported frame version {envelope.get('v') if isinstance(envelope, dict) else '?'!r}"
-        )
+    version = envelope.get("v") if isinstance(envelope, dict) else "?"
+    if version != TRANSPORT_VERSION:
+        raise FrameError(f"unsupported frame version {version!r}")
     payload = envelope.get("payload")
     if not isinstance(payload, dict):
         raise FrameError("frame payload is not an object")
@@ -205,11 +176,16 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     while len(chunks) < n:
         chunk = sock.recv(n - len(chunks))
         if not chunk:
-            raise FrameError(
-                f"connection closed mid-frame ({len(chunks)}/{n} bytes)"
-            )
+            raise FrameError(f"connection closed mid-frame ({len(chunks)}/{n} bytes)")
         chunks += chunk
     return bytes(chunks)
+
+
+def _check_length(header: bytes) -> int:
+    (length,) = _LEN.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise FrameError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
+    return length
 
 
 def send_frame(sock: socket.socket, payload: dict) -> None:
@@ -217,23 +193,25 @@ def send_frame(sock: socket.socket, payload: dict) -> None:
 
 
 def recv_frame(sock: socket.socket) -> dict:
-    (length,) = _LEN.unpack(_recv_exact(sock, _LEN.size))
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
+    length = _check_length(_recv_exact(sock, _LEN.size))
     return decode_frame(_recv_exact(sock, length))
 
 
-async def read_frame(reader: asyncio.StreamReader) -> dict:
-    header = await reader.readexactly(_LEN.size)
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
-    return decode_frame(await reader.readexactly(length))
+def pack_blob(value: object) -> dict:
+    """``value`` pickled for a JSON payload: ``{"data", "sha"}``."""
+    data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    return {
+        "data": base64.b64encode(data).decode("ascii"),
+        "sha": hashlib.sha256(data).hexdigest(),
+    }
 
 
-async def write_frame(writer: asyncio.StreamWriter, payload: dict) -> None:
-    writer.write(encode_frame(payload))
-    await writer.drain()
+def unpack_blob(blob: dict) -> object:
+    """Inverse of :func:`pack_blob`; a checksum mismatch raises."""
+    data = base64.b64decode(blob["data"], validate=True)
+    if hashlib.sha256(data).hexdigest() != blob.get("sha"):
+        raise TransportError("blob checksum mismatch")
+    return pickle.loads(data)
 
 
 # ----------------------------------------------------------------------
@@ -259,17 +237,11 @@ class Backoff:
         if self.base <= 0:
             raise ValueError(f"backoff base must be positive, got {self.base}")
         if self.cap < self.base:
-            raise ValueError(
-                f"backoff cap ({self.cap}) must be >= base ({self.base})"
-            )
+            raise ValueError(f"backoff cap ({self.cap}) must be >= base ({self.base})")
         if self.factor < 1.0:
-            raise ValueError(
-                f"backoff factor must be >= 1, got {self.factor}"
-            )
+            raise ValueError(f"backoff factor must be >= 1, got {self.factor}")
         if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(
-                f"backoff jitter must be in [0, 1], got {self.jitter}"
-            )
+            raise ValueError(f"backoff jitter must be in [0, 1], got {self.jitter}")
 
     def delay(self, attempt: int, rng: random.Random) -> float:
         """The jittered delay before retry number ``attempt`` (0-based)."""
@@ -283,7 +255,7 @@ class Backoff:
 
 @dataclass
 class TransportStats:
-    """Client-side counters (published through ``repro.telemetry``)."""
+    """Client-side counters (shipped to the endpoint in heartbeats)."""
 
     rpcs: int = 0
     reconnects: int = 0
@@ -306,15 +278,12 @@ class EndpointStats:
     frames_in: int = 0
     frames_out: int = 0
     frame_errors: int = 0
-    claims: int = 0
+    leases: int = 0
     steals: int = 0
     uploads: int = 0
     uploads_deduped: int = 0
     heartbeats: int = 0
     unknown_ops: int = 0
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 # ----------------------------------------------------------------------
@@ -328,13 +297,10 @@ class TransportClient:
     retransmits the request after *any* transport failure -- connect
     refused, reset mid-frame, checksum mismatch -- pacing retries with
     :class:`Backoff` until ``max_retry_elapsed`` seconds have been
-    spent, then raising :class:`TransportDown` so the caller can walk
-    down its degradation ladder (reconnect loop -> shared-directory
-    fallback -> give up).
+    spent, then raising :class:`TransportDown`.
 
     The instance is thread-safe: a lock serializes frame exchanges so a
-    heartbeat thread can share the connection with the claim/compute
-    loop.
+    heartbeat thread can share the connection with the worker loop.
     """
 
     def __init__(
@@ -343,7 +309,7 @@ class TransportClient:
         worker_id: str = "client",
         *,
         connect_timeout: float = 5.0,
-        call_timeout: float = 30.0,
+        call_timeout: float = 5.0,
         max_retry_elapsed: float = 60.0,
         backoff: Backoff | None = None,
     ) -> None:
@@ -360,9 +326,6 @@ class TransportClient:
             )
         self.backoff = backoff if backoff is not None else Backoff()
         self.stats = TransportStats()
-        self.server_offset = 0.0
-        """Last observed ``server_time - local_time`` (diagnostic only:
-        all expiry arithmetic happens server-side)."""
         self._sock: socket.socket | None = None
         self._ever_connected = False
         self._connect_failed = False
@@ -371,16 +334,13 @@ class TransportClient:
         # Deterministic jitter per worker id: reproducible tests, and
         # distinct workers still desynchronize their retry storms.
         self._rng = random.Random(
-            int.from_bytes(
-                hashlib.sha256(worker_id.encode()).digest()[:8], "big"
-            )
+            int.from_bytes(hashlib.sha256(worker_id.encode()).digest()[:8], "big")
         )
 
     @property
     def endpoint(self) -> str:
         return format_endpoint(self.host, self.port)
 
-    # ------------------------------------------------------------------
     def _ensure_connected(self) -> socket.socket:
         if self._sock is not None:
             return self._sock
@@ -406,17 +366,13 @@ class TransportClient:
                 pass
             self._sock = None
 
-    def call(
-        self, op: str, *, max_elapsed: float | None = None, **fields
-    ) -> dict:
+    def call(self, op: str, *, max_elapsed: float | None = None, **fields) -> dict:
         """One idempotent RPC, retransmitted until it lands or the
         ``max_retry_elapsed`` budget (override with ``max_elapsed``) is
         spent."""
         with self._lock:
             self._seq += 1
-            request = {
-                "op": op, "worker": self.worker_id, "id": self._seq, **fields
-            }
+            request = {"op": op, "worker": self.worker_id, "id": self._seq, **fields}
         budget = self.max_retry_elapsed if max_elapsed is None else max_elapsed
         deadline = time.monotonic() + budget
         attempt = 0
@@ -461,15 +417,8 @@ class TransportClient:
                 time.sleep(delay)
                 continue
             self.stats.rpcs += 1
-            if "t" in response:
-                try:
-                    self.server_offset = float(response["t"]) - time.time()
-                except (TypeError, ValueError):
-                    pass
             if not response.get("ok", False):
-                raise TransportError(
-                    str(response.get("error", "unspecified server error"))
-                )
+                raise TransportError(str(response.get("error", "unspecified server error")))
             return response
 
     def close(self, *, bye: bool = False) -> None:
@@ -482,129 +431,44 @@ class TransportClient:
             self._drop_connection()
 
 
-class NetHeartbeat:
-    """Periodic ``heartbeat`` RPCs over one :class:`TransportClient`.
-
-    The network twin of :class:`repro.runtime.fabric.Heartbeat`: same
-    ``cells_done`` / ``start`` / ``stop`` surface, but liveness is
-    declared to the coordinator's endpoint (which writes the heartbeat
-    file server-side, in server time) instead of to the shared
-    directory.  Each beat also ships the client's transport counters so
-    the coordinator can publish them through telemetry.
-
-    A beat that exhausts its retry budget sets :attr:`lost`; the worker
-    loop notices transport loss through its own RPCs, so the heartbeat
-    thread never raises.
-    """
-
-    def __init__(self, client: TransportClient, interval: float) -> None:
-        if interval <= 0:
-            raise ValueError(f"heartbeat interval must be positive, got {interval}")
-        self.client = client
-        self.interval = float(interval)
-        self.cells_done = 0
-        self.beats = 0
-        self.lost = threading.Event()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def beat(self, left: bool = False) -> None:
-        self.beats += 1
-        self.client.call(
-            "bye" if left else "heartbeat",
-            cells_done=self.cells_done,
-            stats=self.client.stats.to_json(),
-            max_elapsed=1.0 if left else self.interval,
-        )
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
-                self.beat()
-            except TransportError:
-                self.lost.set()
-
-    def start(self) -> None:
-        try:
-            self.beat()
-        except TransportError:
-            self.lost.set()
-        self._thread = threading.Thread(
-            target=self._run,
-            name=f"fabric-net-heartbeat-{self.client.worker_id}",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def stop(self, left: bool = True) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=self.interval + 1.0)
-            self._thread = None
-        if left and not self.lost.is_set():
-            try:
-                self.beat(left=True)
-            except TransportError:
-                pass
-
-
 # ----------------------------------------------------------------------
 # Server.
 
 
 class FabricEndpoint:
-    """The coordinator's asyncio RPC endpoint over one fabric directory.
+    """The coordinator's asyncio RPC endpoint and in-memory lease table.
 
-    The endpoint owns no state of its own: each RPC reads or writes the
-    fabric directory through the same primitives local workers use
-    (:class:`~repro.runtime.fabric.LeaseBoard`, heartbeat files,
-    fsynced journal appends), with all lease-expiry arithmetic done in
-    **server time** -- the coordinator's clock is the one true clock,
-    which is what makes cross-host clock skew harmless.
-
-    Runs its event loop on a daemon thread so the synchronous
-    coordinator (:func:`repro.runtime.fabric.run_fabric`) can host it;
+    One endpoint serves a whole command; each sweep the supervisor runs
+    on the fabric is *armed* on it (:meth:`arm`), fed cell indices
+    (:meth:`submit`, one future each) and disarmed when its pool shuts
+    down.  Workers acquire leases on the armed sweep, upload results
+    (which complete the futures) and heartbeat.  The event loop runs on
+    a daemon thread so a synchronous coordinator can host it;
     ``start()`` blocks until the socket is bound and returns the port.
     """
 
-    def __init__(
-        self,
-        fabric_dir: str | Path,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        clock=None,
-    ) -> None:
-        from repro.runtime import fabric as _fabric
-
-        self._fabric = _fabric
-        self.fabric_dir = Path(fabric_dir)
-        self.header, self.items = _fabric.load_grid(self.fabric_dir)
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self.host = host
         self.requested_port = int(port)
         self.port: int | None = None
-        self.clock = clock if clock is not None else _fabric.SystemClock()
-        self.lease_ttl = float(self.header.get("lease_ttl", 30.0))
         self.stats = EndpointStats()
-        self._grid_lines = (
-            (self.fabric_dir / "grid.jsonl")
-            .read_text(encoding="utf-8")
-            .splitlines()
-        )
-        self._scanner = _fabric.ResultsScanner(self.fabric_dir, len(self.items))
-        self._boards: dict[str, object] = {}
-        self._journals: dict[str, object] = {}
-        self._seen_uploads: set[tuple[str, int, str]] = set()
-        self._state_lock = threading.Lock()
+        self.cells_by: dict[str, int] = {}
+        self.client_stats: dict[str, dict] = {}
+        self._lock = threading.Lock()
+        self._sweep: str | None = None
+        self._grid: dict = {}
+        self._armed_at = 0.0
+        self._futures: dict[int, Future] = {}  # pending cells only
+        self._queue: deque[int] = deque()  # cells waiting for a lease
+        self._leases: dict[int, str] = {}  # cell -> worker
+        self._heard: dict[str, float] = {}  # worker -> last RPC, server time
+        self._runners: set[str] = set()  # workers that acquired on this sweep
+        self._closing = False
+        self._writers: set[asyncio.StreamWriter] = set()  # open connections
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._server: asyncio.AbstractServer | None = None
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
         self._start_error: BaseException | None = None
-
-    @property
-    def endpoint(self) -> str:
-        return format_endpoint(self.host, self.port or self.requested_port)
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -621,59 +485,34 @@ class FabricEndpoint:
         self._thread.start()
         self._started.wait(timeout=30.0)
         if self._start_error is not None:
-            error = self._start_error
+            error, self._start_error = self._start_error, None
             self._thread.join(timeout=5.0)
             self._thread = None
-            self._start_error = None
             raise error
         if self.port is None:
             raise TransportError("endpoint failed to bind within 30s")
         return self.port
 
-    def drain(self, grace: float = 5.0) -> None:
-        """Linger until every TCP worker has left (or ``grace`` runs out).
-
-        Called by the coordinator after the grid completes, *before*
-        :meth:`stop`: a worker that just uploaded its last cell is one
-        ``acquire`` round-trip away from seeing ``complete`` and saying
-        goodbye; tearing the listener down first would turn that happy
-        path into a full retry/backoff cycle ending in a spurious
-        transport-down error.
-        """
-        worker_dir = self.fabric_dir / "workers"
-        deadline = time.monotonic() + grace
+    def stop(self, grace: float | None = None) -> None:
+        """Tell workers to leave, wait up to ``grace`` seconds (default
+        one lease TTL) for the live ones to say goodbye, then close the
+        listener and every connection.  Stopping twice is a no-op."""
+        if self._thread is None:
+            return
+        with self._lock:
+            self._closing = True
+        deadline = time.monotonic() + (LEASE_TTL if grace is None else grace)
         while time.monotonic() < deadline:
-            now = self.clock.now()
-            active = False
-            if worker_dir.is_dir():
-                for path in worker_dir.glob("*.json"):
-                    payload = self._fabric._read_json(path)
-                    if payload is None or payload.get("via") != "tcp":
-                        continue
-                    if self._fabric._heartbeat_payload_fresh(
-                        path, payload, now
-                    ):
-                        active = True
-                        break
-            if not active:
-                return
+            with self._lock:
+                if not self._live(self._heard):
+                    break
             time.sleep(0.05)
-
-    def stop(self) -> None:
-        """Close the listener and every live connection."""
         loop = self._loop
         if loop is not None and not loop.is_closed():
             loop.call_soon_threadsafe(self._stop_event.set)
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
-        with self._state_lock:
-            for handle in self._journals.values():
-                try:
-                    handle.close()
-                except OSError:
-                    pass
-            self._journals.clear()
 
     def _thread_main(self) -> None:
         try:
@@ -686,7 +525,7 @@ class FabricEndpoint:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
         try:
-            self._server = await asyncio.start_server(
+            server = await asyncio.start_server(
                 self._handle, self.host, self.requested_port
             )
         except OSError as exc:
@@ -695,10 +534,89 @@ class FabricEndpoint:
             )
             self._started.set()
             return
-        self.port = self._server.sockets[0].getsockname()[1]
+        self.port = server.sockets[0].getsockname()[1]
         self._started.set()
-        async with self._server:
-            await self._stop_event.wait()
+        reaper = asyncio.ensure_future(self._reap_periodically())
+        await self._stop_event.wait()
+        reaper.cancel()
+        server.close()
+        # Sever live connections too: since Python 3.12 a closed server
+        # keeps serving them until the peers hang up.
+        for writer in list(self._writers):
+            writer.transport.abort()
+
+    async def _reap_periodically(self) -> None:
+        # Steals must happen even when no worker is idle-polling, and a
+        # sweep whose every worker died must fail rather than hang.
+        while True:
+            await asyncio.sleep(LEASE_TTL / 3.0)
+            with self._lock:
+                self._reap(time.monotonic())
+
+    # ------------------------------------------------------------------
+    # The coordinator side: arm a sweep, submit cells, disarm.
+
+    def arm(self, sweep: str, grid: dict) -> None:
+        """Make ``sweep`` the active one; ``grid`` is what ``grid``
+        RPCs return to workers that must load it."""
+        with self._lock:
+            self._sweep, self._grid = sweep, grid
+            self._armed_at = time.monotonic()
+            self._runners = set()
+
+    def submit(self, index: int) -> Future:
+        """Queue one cell of the armed sweep; its future resolves to the
+        worker's upload."""
+        future: Future = Future()
+        with self._lock:
+            self._futures[index] = future
+            self._queue.append(index)
+        return future
+
+    def disarm(self, workers: Sequence[str] = ()) -> None:
+        """Drop the active sweep, cancel its open futures and forget
+        ``workers`` (local processes the pool has killed)."""
+        with self._lock:
+            futures = list(self._futures.values())
+            self._sweep, self._grid = None, {}
+            self._futures.clear()
+            self._queue.clear()
+            self._leases.clear()
+            for worker in workers:
+                self._heard.pop(worker, None)
+        for future in futures:
+            future.cancel()
+
+    def live_runners(self) -> int:
+        """Workers running the armed sweep heard from within one TTL."""
+        with self._lock:
+            return len(self._live({w: self._heard.get(w, 0.0) for w in self._runners}))
+
+    @staticmethod
+    def _live(heard: dict[str, float]) -> list[str]:
+        now = time.monotonic()
+        return [worker for worker, t in heard.items() if now - t < LEASE_TTL]
+
+    def _reap(self, now: float) -> None:
+        """Re-queue the leases of silent workers; fail an orphaned sweep."""
+        for index, worker in list(self._leases.items()):
+            if now - self._heard.get(worker, 0.0) >= LEASE_TTL:
+                del self._leases[index]
+                self._queue.appendleft(index)
+                self.stats.steals += 1
+        if (
+            self._futures
+            and now - self._armed_at >= LEASE_TTL
+            and not any(now - self._heard.get(w, 0.0) < LEASE_TTL for w in self._runners)
+        ):
+            error = TransportError(
+                f"no fabric worker heard from for {LEASE_TTL:g}s"
+            )
+            for future in self._futures.values():
+                future.set_exception(error)
+            self._futures.clear()
+            self._queue.clear()
+            self._leases.clear()
 
     # ------------------------------------------------------------------
     # Connection handling.
@@ -706,38 +624,28 @@ class FabricEndpoint:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        # Absorb the cancellation asyncio.run() delivers at shutdown:
-        # a handler task that ends "cancelled" makes the streams
-        # machinery log spurious CancelledError tracebacks.
-        try:
-            await self._handle_connection(reader, writer)
-        except asyncio.CancelledError:
-            pass
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
         self.stats.connections += 1
+        self._writers.add(writer)
         loop = asyncio.get_running_loop()
         try:
             while True:
-                try:
-                    request = await read_frame(reader)
-                except FrameError:
-                    self.stats.frame_errors += 1
-                    break
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                    break
+                length = _check_length(await reader.readexactly(_LEN.size))
+                request = decode_frame(await reader.readexactly(length))
                 self.stats.frames_in += 1
-                response = await loop.run_in_executor(
-                    None, self._dispatch, request
-                )
-                try:
-                    await write_frame(writer, response)
-                except (ConnectionError, OSError):
-                    break
+                response = await loop.run_in_executor(None, self._dispatch, request)
+                writer.write(encode_frame(response))
+                await writer.drain()
                 self.stats.frames_out += 1
+        except FrameError:
+            self.stats.frame_errors += 1
+        except (asyncio.IncompleteReadError, ConnectionError, OSError):
+            pass
+        except asyncio.CancelledError:
+            # Absorbed: a handler task that ends "cancelled" at shutdown
+            # makes the streams machinery log spurious tracebacks.
+            pass
         finally:
+            self._writers.discard(writer)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -745,185 +653,93 @@ class FabricEndpoint:
                 pass
 
     # ------------------------------------------------------------------
-    # RPC dispatch (synchronous; serialized by a lock so executor
-    # threads never interleave on the board/journal state).
+    # RPC dispatch (synchronous; serialized by the lock so executor
+    # threads never interleave on the lease table).
 
     def _dispatch(self, request: dict) -> dict:
-        now = self.clock.now()
-        base = {"ok": True, "t": now, "id": request.get("id")}
+        base = {"ok": True, "t": time.time(), "id": request.get("id")}
         op = request.get("op")
         try:
-            with self._state_lock:
+            with self._lock:
                 if op == "hello":
                     return {
                         **base,
                         "version": TRANSPORT_VERSION,
-                        "sweep": self.header.get("sweep"),
-                        "n_items": len(self.items),
-                        "fn_ref": self.header.get("fn_ref"),
-                        "lease_ttl": self.lease_ttl,
-                        "heartbeat_interval": self.header.get(
-                            "heartbeat_interval", self.lease_ttl / 3.0
-                        ),
-                        "cache_dir": self.header.get("cache_dir"),
+                        "sweep": self._sweep,
+                        "lease_ttl": LEASE_TTL,
+                    }
+                if op == "status":
+                    return {
+                        **base,
+                        "sweep": self._sweep,
+                        "queued": len(self._queue),
+                        "pending": len(self._futures),
+                        "leases": {str(i): w for i, w in self._leases.items()},
                     }
                 if op == "grid":
-                    return {**base, "lines": self._grid_lines}
-                worker = self._worker_id(request)
-                if op == "acquire":
-                    return {**base, **self._acquire(worker)}
-                if op == "claim":
-                    return {**base, **self._claim(worker, request)}
-                if op == "heartbeat":
-                    return {**base, **self._heartbeat(worker, request, now)}
-                if op == "upload":
-                    return {**base, **self._upload(worker, request)}
-                if op == "status":
-                    return {**base, **self._status()}
+                    if request.get("sweep") != self._sweep:
+                        raise TransportError(f"sweep {request.get('sweep')!r} is not armed")
+                    return {**base, **self._grid}
+                worker = request.get("worker")
+                if not isinstance(worker, str) or not worker:
+                    raise TransportError("request carries no worker id")
                 if op == "bye":
-                    self.stats.heartbeats += 1
-                    self._write_heartbeat(worker, request, now, left=True)
+                    self._heard.pop(worker, None)
+                    self._release(worker)
                     return base
+                now = time.monotonic()
+                self._heard[worker] = now
+                if op == "heartbeat":
+                    self.stats.heartbeats += 1
+                    if isinstance(request.get("stats"), dict):
+                        self.client_stats[worker] = request["stats"]
+                    return base
+                if op == "acquire":
+                    return {**base, **self._acquire(worker, request.get("sweep"), now)}
+                if op == "upload":
+                    return {**base, "deduped": self._upload(worker, request)}
             self.stats.unknown_ops += 1
             return {**base, "ok": False, "error": f"unknown op {op!r}"}
         except Exception as exc:
             return {**base, "ok": False, "error": repr(exc)[:500]}
 
-    def _worker_id(self, request: dict) -> str:
-        worker = request.get("worker")
-        if not isinstance(worker, str) or not worker:
-            raise TransportError("request carries no worker id")
-        # Reuse the fabric's filename sanitizer: the id becomes lease,
-        # heartbeat and journal file names on the coordinator.
-        return self._fabric._safe_worker_id(worker)
+    def _release(self, worker: str) -> None:
+        for index, owner in list(self._leases.items()):
+            if owner == worker:
+                del self._leases[index]
+                self._queue.appendleft(index)
 
-    def _board(self, worker: str):
-        board = self._boards.get(worker)
-        if board is None:
-            board = self._fabric.LeaseBoard(
-                self.fabric_dir, worker, self.lease_ttl, clock=self.clock
-            )
-            self._boards[worker] = board
-        return board
+    def _acquire(self, worker: str, sweep: str | None, now: float) -> dict:
+        """The next cell for ``worker``, which names the sweep it has
+        loaded; a different (or no) sweep gets the armed sweep's id so
+        the worker can load it first."""
+        if self._closing:
+            return {"shutdown": True}
+        if sweep is None or sweep != self._sweep:
+            return {"index": None, "sweep": self._sweep}
+        self._runners.add(worker)
+        self._reap(now)
+        for index, owner in self._leases.items():
+            if owner == worker:  # re-delivery of a lost response
+                return {"index": index, "sweep": sweep}
+        while self._queue:
+            index = self._queue.popleft()
+            if index in self._futures and index not in self._leases:
+                self._leases[index] = worker
+                self.stats.leases += 1
+                return {"index": index, "sweep": sweep}
+        return {"index": None, "sweep": sweep}
 
-    # -- ops ------------------------------------------------------------
-
-    def _acquire(self, worker: str) -> dict:
-        """Pick and lease the next runnable cell for ``worker``."""
-        self._scanner.scan()
-        done = self._scanner.done
-        n = len(self.items)
-        if len(done) >= n:
-            return {"index": None, "complete": True}
-        board = self._board(worker)
-        start = (
-            int(hashlib.sha256(worker.encode()).hexdigest(), 16) % n
-        )
-        for step in range(n):
-            index = (start + step) % n
-            if index in done:
-                continue
-            claimed, victim = board.try_claim(index)
-            if claimed:
-                self.stats.claims += 1
-                if victim is not None:
-                    self.stats.steals += 1
-                return {"index": index, "victim": victim, "complete": False}
-        return {"index": None, "complete": False}
-
-    def _claim(self, worker: str, request: dict) -> dict:
+    def _upload(self, worker: str, request: dict) -> bool:
+        """Complete one cell's future; True when it was a duplicate."""
         index = int(request["index"])
-        if not 0 <= index < len(self.items):
-            raise TransportError(f"claim index {index} out of range")
-        claimed, victim = self._board(worker).try_claim(index)
-        if claimed:
-            self.stats.claims += 1
-            if victim is not None:
-                self.stats.steals += 1
-        return {"claimed": claimed, "victim": victim}
-
-    def _heartbeat(self, worker: str, request: dict, now: float) -> dict:
-        self.stats.heartbeats += 1
-        self._write_heartbeat(worker, request, now, left=False)
-        self._scanner.scan()
-        return {
-            "done": len(self._scanner.done),
-            "n_items": len(self.items),
-        }
-
-    def _write_heartbeat(
-        self, worker: str, request: dict, now: float, *, left: bool
-    ) -> None:
-        stats = request.get("stats")
-        self._fabric._atomic_write_json(
-            self.fabric_dir / "workers" / f"{worker}.json",
-            {
-                "kind": "heartbeat",
-                "worker": worker,
-                "pid": None,  # not a coordinator-local process
-                "via": "tcp",
-                "deadline": now + self.lease_ttl,
-                "ttl": self.lease_ttl,
-                "cells_done": int(request.get("cells_done", 0) or 0),
-                "left": left,
-                "transport": stats if isinstance(stats, dict) else None,
-            },
-        )
-
-    def _upload(self, worker: str, request: dict) -> dict:
-        entry = request.get("entry")
-        if not isinstance(entry, dict):
-            raise TransportError("upload carries no entry object")
-        kind = entry.get("kind")
-        if kind == "cell":
-            # Verify the journal-layer checksum before the append; the
-            # scanner would reject a corrupt line anyway, but failing
-            # the RPC gives the worker an actionable error instead.
-            index, _ = self._fabric_decode(entry)
-            key = (worker, index, str(entry.get("sha")))
-            if key in self._seen_uploads:
-                self.stats.uploads_deduped += 1
-                return {"deduped": True}
-            self._seen_uploads.add(key)
-        elif kind not in ("failed", "event"):
-            raise TransportError(f"unknown upload kind {kind!r}")
-        self._append_journal(worker, entry)
+        value = unpack_blob(request)
+        future = self._futures.pop(index, None) if request.get("sweep") == self._sweep else None
+        if future is None:
+            self.stats.uploads_deduped += 1
+            return True
+        self._leases.pop(index, None)
         self.stats.uploads += 1
-        return {"deduped": False}
-
-    def _fabric_decode(self, entry: dict) -> tuple[int, object]:
-        from repro.runtime.journal import decode_cell_entry
-
-        return decode_cell_entry(entry, len(self.items))
-
-    def _append_journal(self, worker: str, entry: dict) -> None:
-        handle = self._journals.get(worker)
-        if handle is None:
-            path = self.fabric_dir / "results" / f"{worker}.jsonl"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fresh = not path.exists()
-            handle = path.open("a", encoding="utf-8")
-            self._journals[worker] = handle
-            if fresh:
-                header = {
-                    "kind": "header",
-                    "version": self._fabric.FABRIC_VERSION,
-                    "sweep": self.header.get("sweep"),
-                    "worker": worker,
-                    "n_items": len(self.items),
-                    "via": "tcp",
-                }
-                handle.write(json.dumps(header) + "\n")
-        handle.write(json.dumps(entry) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-
-    def _status(self) -> dict:
-        self._scanner.scan()
-        done = self._scanner.done
-        return {
-            "done": sorted(done),
-            "failed": sorted(self._scanner.failed),
-            "n_items": len(self.items),
-            "complete": len(done) >= len(self.items),
-        }
+        self.cells_by[worker] = self.cells_by.get(worker, 0) + 1
+        future.set_result(value)
+        return False

@@ -4,7 +4,7 @@ A scenario names a topology family (line / grid / random-geometric),
 source placement, a traffic mix, a buffer hardware model and a list of
 registry defenses; :func:`run_suite` expands suites of them into
 (defense x seed) matrices on the supervised parallel runtime.  See
-DESIGN.md §14 and ``repro scenarios --help``.
+DESIGN.md §13 and ``repro scenarios --help``.
 """
 
 from repro.scenarios.runner import (

@@ -6,9 +6,9 @@ self-contained cells -- one per (scenario, defense, seed) -- and maps
 so the ambient runtime supplies parallelism, the result cache, retries
 and journal resume exactly as it does for the figure drivers.  Each
 cell carries the *serialized* spec and recompiles its own combination:
-cells stay pure JSON (the fabric's grid files round-trip them) and
-``scenario_cell`` is a module-level importable, so external ``repro
-worker`` processes can join a scenario sweep too.
+cells stay pure JSON (journals and the fabric's grid round-trip them)
+and ``scenario_cell`` is a module-level importable, so remote ``repro
+worker --connect`` processes can join a scenario sweep too.
 
 Scoring follows the paper's evaluation: the defense advertises its mean
 per-hop delay and buffer capacity, the matching baseline adversary

@@ -418,7 +418,7 @@ class ScenarioSpec:
         """Materialize the (defense x seed) matrix into configs.
 
         ``defense_indices`` / ``seeds`` restrict the matrix -- that is
-        how one fabric cell recompiles exactly its own combination.
+        how one sweep cell recompiles exactly its own combination.
         Every config gets a *fresh* defense materialization, so configs
         never share mutable routing-policy state.
         """

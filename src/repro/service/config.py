@@ -66,14 +66,22 @@ class ServiceConfig:
             raise ValueError(
                 f"max_buffered_total must be at least 1, got {self.max_buffered_total}"
             )
-        if self.mean_delay <= 0:
-            raise ValueError(f"mean_delay must be positive, got {self.mean_delay}")
-        if self.watchdog_interval <= 0 or self.stall_timeout <= 0:
-            raise ValueError("watchdog_interval and stall_timeout must be positive")
+        # ``not x > 0`` rather than ``x <= 0``: NaN fails every
+        # comparison, so only this form rejects it.
+        if not self.mean_delay > 0:
+            raise ValueError(
+                f"mean_delay must be positive (not NaN), got {self.mean_delay}"
+            )
+        if not (self.watchdog_interval > 0 and self.stall_timeout > 0):
+            raise ValueError(
+                "watchdog_interval and stall_timeout must be positive (not NaN)"
+            )
         if self.stall_timeout <= self.watchdog_interval:
             raise ValueError(
                 "stall_timeout must exceed watchdog_interval "
                 f"({self.stall_timeout} <= {self.watchdog_interval})"
             )
-        if self.drain_poll <= 0:
-            raise ValueError(f"drain_poll must be positive, got {self.drain_poll}")
+        if not self.drain_poll > 0:
+            raise ValueError(
+                f"drain_poll must be positive (not NaN), got {self.drain_poll}"
+            )

@@ -18,7 +18,6 @@ from repro.runtime.chaosnet import (
     NetFaultPlan,
     PartitionWindow,
 )
-from repro.runtime.fabric import FabricConfig, write_grid
 from repro.runtime.transport import (
     Backoff,
     FabricEndpoint,
@@ -125,13 +124,14 @@ class TestChaosStats:
 
 
 @pytest.fixture()
-def served_grid(tmp_path):
-    config = FabricConfig(workers=0, lease_ttl=60.0)
-    write_grid(tmp_path, "sweep-chaos", "test", list(range(4)), None, config)
-    endpoint = FabricEndpoint(tmp_path)
+def served_grid():
+    endpoint = FabricEndpoint()
     endpoint.start()
-    yield tmp_path, endpoint
-    endpoint.stop()
+    endpoint.arm("sweep-chaos", {"fn_ref": None, "items": None, "telemetry": False})
+    for index in range(4):
+        endpoint.submit(index)
+    yield endpoint
+    endpoint.stop(grace=0)
 
 
 def _client(port, **overrides):
@@ -146,7 +146,7 @@ def _client(port, **overrides):
 
 class TestChaosProxy:
     def test_transparent_with_noop_plan(self, served_grid):
-        _, endpoint = served_grid
+        endpoint = served_grid
         proxy = ChaosProxy("127.0.0.1", endpoint.port)
         port = proxy.start()
         client = _client(port)
@@ -161,7 +161,7 @@ class TestChaosProxy:
             proxy.stop()
 
     def test_latency_is_applied_per_frame(self, served_grid):
-        _, endpoint = served_grid
+        endpoint = served_grid
         proxy = ChaosProxy(
             "127.0.0.1", endpoint.port, NetFaultPlan(latency=0.05)
         )
@@ -178,7 +178,7 @@ class TestChaosProxy:
             proxy.stop()
 
     def test_dropped_frames_are_retransmitted(self, served_grid):
-        _, endpoint = served_grid
+        endpoint = served_grid
         proxy = ChaosProxy(
             "127.0.0.1", endpoint.port, NetFaultPlan(drop_probability=0.3, seed=1)
         )
@@ -194,7 +194,7 @@ class TestChaosProxy:
             proxy.stop()
 
     def test_duplicate_delivery_does_not_desync_rpcs(self, served_grid):
-        _, endpoint = served_grid
+        endpoint = served_grid
         proxy = ChaosProxy(
             "127.0.0.1",
             endpoint.port,
@@ -203,9 +203,10 @@ class TestChaosProxy:
         port = proxy.start()
         client = _client(port)
         try:
-            for index in range(4):
-                response = client.call("claim", index=index)
-                assert response["claimed"] is True
+            leased = client.call("acquire", sweep="sweep-chaos")["index"]
+            for _ in range(4):
+                response = client.call("acquire", sweep="sweep-chaos")
+                assert response["index"] == leased  # idempotent re-delivery
                 assert response["id"] == client._seq
             assert proxy.stats.frames_duplicated > 0
         finally:
@@ -213,7 +214,7 @@ class TestChaosProxy:
             proxy.stop()
 
     def test_mid_frame_resets_are_survived(self, served_grid):
-        _, endpoint = served_grid
+        endpoint = served_grid
         proxy = ChaosProxy(
             "127.0.0.1",
             endpoint.port,
@@ -231,7 +232,7 @@ class TestChaosProxy:
             proxy.stop()
 
     def test_partition_severs_and_heals(self, served_grid):
-        _, endpoint = served_grid
+        endpoint = served_grid
         proxy = ChaosProxy(
             "127.0.0.1",
             endpoint.port,
@@ -255,7 +256,7 @@ class TestChaosProxy:
 
     def test_deterministic_across_runs(self, served_grid):
         """The same plan seed injects the same faults on a replay."""
-        _, endpoint = served_grid
+        endpoint = served_grid
 
         def run_once():
             proxy = ChaosProxy(

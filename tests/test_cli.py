@@ -32,9 +32,9 @@ class TestCountAndSeedOptions:
         "argv, flag",
         [
             *[([verb, "--packets", "0"], "--packets")
-              for verb in ("fig2", "fig3", "run", "chaos", "sweep-fabric")],
+              for verb in ("fig2", "fig3", "run", "chaos")],
             *[([verb, "--seed", "-1"], "--seed")
-              for verb in ("fig2", "fig3", "run", "chaos", "serve", "sweep-fabric")],
+              for verb in ("fig2", "fig3", "run", "chaos", "serve")],
             (["fig2", "--packets", "many"], "--packets"),
             (["run", "--seed", "1.5"], "--seed"),
         ],
@@ -48,7 +48,12 @@ class TestCountAndSeedOptions:
 
     @pytest.mark.parametrize(
         "argv",
-        [["fig2", "--packets", "0"], ["fig3", "--packets", "0"], ["fig2", "--seed", "-1"]],
+        [
+            ["fig2", "--packets", "0"], ["fig3", "--packets", "0"],
+            ["fig2", "--seed", "-1"], ["fig2", "--interarrivals", "inf"],
+            ["run", "--interarrival", "nan"], ["serve", "--rate", "nan"],
+            ["fig2", "--item-timeout", "nan"],
+        ],
         ids=" ".join,
     )
     def test_command_line_exits_without_traceback(self, argv):
@@ -68,6 +73,40 @@ class TestCountAndSeedOptions:
     def test_valid_values_parse(self):
         args = build_parser().parse_args(["fig2", "--packets", "1", "--seed", "0"])
         assert (args.packets, args.seed) == (1, 0)
+
+
+class TestFloatOptions:
+    """Every float option is finite and positive by its argparse type:
+    NaN and inf exit 2 at parse time, naming the flag, before any work."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            *[(["fig2", "--interarrivals", bad], "--interarrivals")
+              for bad in ("inf", "nan", "2,nan", "-3", "0", "2,apple", ",")],
+            (["fig3", "--interarrivals", "4,inf"], "--interarrivals"),
+            *[(["run", "--interarrival", bad], "--interarrival")
+              for bad in ("nan", "inf", "-1")],
+            (["chaos", "--interarrival", "nan"], "--interarrival"),
+            *[([verb, "--item-timeout", bad], "--item-timeout")
+              for verb in ("fig2", "scenarios") for bad in ("nan", "inf")],
+            *[(["serve", flag, "nan"], flag)
+              for flag in ("--rate", "--duration", "--mean-delay",
+                           "--burst-factor", "--drain-timeout")],
+            (["serve", "--duration", "inf"], "--duration"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_non_finite_rejected_at_parse_time(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    def test_sweep_values_parse_to_floats(self):
+        args = build_parser().parse_args(["fig2", "--interarrivals", "2, 4.5"])
+        assert args.interarrivals == (2.0, 4.5)
+        assert build_parser().parse_args(["fig3"]).interarrivals[0] == 2.0
 
 
 class TestCommands:
@@ -186,17 +225,21 @@ class TestJobsOption:
         with pytest.raises(SystemExit, match="--retries must be non-negative"):
             main(["fig2", "--retries", "-1"])
 
-    def test_negative_item_timeout_rejected(self):
-        with pytest.raises(
-            SystemExit, match="--item-timeout must be a positive number of seconds"
-        ):
+    def test_negative_item_timeout_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["fig2", "--item-timeout", "-5"])
+        assert exc.value.code == 2
+        assert "argument --item-timeout: must be a finite positive number" in (
+            capsys.readouterr().err
+        )
 
-    def test_zero_item_timeout_rejected(self):
-        with pytest.raises(
-            SystemExit, match="--item-timeout must be a positive number of seconds"
-        ):
+    def test_zero_item_timeout_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["run", "--item-timeout", "0"])
+        assert exc.value.code == 2
+        assert "argument --item-timeout: must be a finite positive number" in (
+            capsys.readouterr().err
+        )
 
     def test_validation_fires_before_any_simulation(self, monkeypatch):
         # The SystemExit must come from option validation, not from a
@@ -378,24 +421,18 @@ class TestCacheSubcommand:
         journal.record(0, "new")  # superseded
         journal.record(1, "only")
         journal.close()
-        fabric_journal = tmp_path / "fabric" / "abc123" / "results" / "w0.jsonl"
-        fabric_journal.parent.mkdir(parents=True)
-        fabric_journal.write_text(
-            '{"kind": "event", "event": "steal", "index": 0, "worker": "w0"}\n'
-        )
 
         assert main([
             "cache", "--cache-dir", str(tmp_path), "prune",
             "--compact-journals",
         ]) == 0
         out = capsys.readouterr().out
-        assert "compacted 2 journals" in out
-        assert "dropped 2 lines" in out
+        assert "compacted 1 journals" in out
+        assert "dropped 1 lines" in out
         loaded = SweepJournal(
             tmp_path / "journal", "sweep1", n_items=2, resume=True
         ).load()
         assert loaded == {0: "new", 1: "only"}
-        assert fabric_journal.read_text() == ""  # only the event, now gone
 
     def test_prune_combines_max_bytes_and_compaction(self, tmp_path, capsys):
         self._warm(tmp_path)
@@ -453,97 +490,51 @@ class TestChaosCommand:
 
 class TestFabricCommands:
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["sweep-fabric"])
-        assert args.workers == 2
-        assert args.lease_ttl == 30.0
-        assert args.heartbeat_interval is None
-        assert args.fabric_dir is None
+        assert build_parser().parse_args(["fig2"]).listen is None
+        args = build_parser().parse_args(["worker", "--connect", "host:1"])
+        assert (args.connect, args.worker_id, args.cache_dir) == ("host:1", None, None)
+
+    _BAD_ENDPOINTS = [
+        (["fig2", "--listen", "nope"], "--listen: endpoint must look like host:port"),
+        (["fig3", "--listen", ":8000"], "--listen: endpoint ':8000' has an empty host"),
+        (["run", "--listen", "host:70000"], "--listen: endpoint port must be in [0, 65535]"),
+        (["scenarios", "--listen", "host:http"], "--listen: endpoint 'host:http' has a non-numeric"),
+        (["worker", "--connect", "nope"], "--connect: endpoint must look like host:port"),
+        (["worker", "--connect", "host:0"], "--connect: endpoint port must be in [1, 65535]"),
+        (["worker", "--connect", "host:-1"], "--connect: endpoint port must be in [1, 65535]"),
+    ]
 
     @pytest.mark.parametrize(
         ("argv", "message"),
-        [
-            (["sweep-fabric", "--workers", "-1"],
-             r"--workers must be non-negative"),
-            (["sweep-fabric", "--lease-ttl", "0"],
-             r"--lease-ttl must be a positive number of seconds"),
-            (["sweep-fabric", "--lease-ttl", "-3"],
-             r"--lease-ttl must be a positive number of seconds"),
-            (["sweep-fabric", "--heartbeat-interval", "0"],
-             r"--heartbeat-interval must be a positive number of seconds"),
-            (["sweep-fabric", "--heartbeat-interval", "30", "--lease-ttl", "30"],
-             r"--heartbeat-interval .* must be below --lease-ttl"),
-        ],
-        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+        _BAD_ENDPOINTS,
+        ids=[" ".join(argv) for argv, _ in _BAD_ENDPOINTS],
     )
-    def test_invalid_fabric_options_rejected(self, argv, message):
-        with pytest.raises(SystemExit, match=message):
+    def test_invalid_endpoints_rejected_before_network_io(self, argv, message, capsys):
+        """Endpoint validation is a parse-time usage error, no socket touched."""
+        with pytest.raises(SystemExit) as exc:
             main(argv)
+        assert exc.value.code == 2
+        assert f"argument {message}" in capsys.readouterr().err
+
+    def test_listen_port_zero_is_allowed(self):
+        args = build_parser().parse_args(["chaos", "--listen", "127.0.0.1:0"])
+        assert args.listen == "127.0.0.1:0"
 
     def test_validation_fires_before_any_fork(self, monkeypatch):
-        import repro.runtime.fabric as fabric_module
+        import repro.runtime.context as context_module
 
         def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("fabric ran despite invalid options")
+            raise AssertionError("runtime started despite invalid options")
 
-        monkeypatch.setattr(fabric_module, "run_fabric", boom)
-        with pytest.raises(SystemExit, match="--workers must be non-negative"):
-            main(["sweep-fabric", "--workers", "-5"])
+        monkeypatch.setattr(context_module, "use_runtime", boom)
+        with pytest.raises(SystemExit, match="--jobs must be non-negative"):
+            main(["fig2", "--listen", "127.0.0.1:0", "--jobs", "-5"])
 
-    def test_worker_rejects_bad_heartbeat(self, tmp_path):
-        with pytest.raises(
-            SystemExit,
-            match="--heartbeat-interval must be a positive number of seconds",
-        ):
-            main(["worker", str(tmp_path), "--heartbeat-interval", "0"])
-
-    def test_worker_rejects_missing_grid(self, tmp_path):
-        with pytest.raises(SystemExit, match="no grid"):
-            main(["worker", str(tmp_path / "nowhere")])
-
-    @pytest.mark.parametrize(
-        ("argv", "message"),
-        [
-            (["sweep-fabric", "--listen", "nope"],
-             r"invalid --listen endpoint.*host:port"),
-            (["sweep-fabric", "--listen", ":8000"],
-             r"invalid --listen endpoint.*empty host"),
-            (["sweep-fabric", "--listen", "host:70000"],
-             r"invalid --listen endpoint"),
-            (["sweep-fabric", "--listen", "host:http"],
-             r"invalid --listen endpoint.*non-numeric"),
-            (["worker", "--connect", "nope"],
-             r"invalid --connect endpoint.*host:port"),
-            (["worker", "--connect", "host:0"],
-             r"invalid --connect endpoint"),
-            (["worker", "--connect", "host:-1"],
-             r"invalid --connect endpoint"),
-        ],
-        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
-    )
-    def test_invalid_endpoints_rejected_before_network_io(self, argv, message):
-        """Endpoint validation is a clean SystemExit, no socket touched."""
-        with pytest.raises(SystemExit, match=message):
-            main(argv)
-
-    def test_listen_port_zero_is_allowed(self, monkeypatch):
-        import repro.runtime.fabric as fabric_module
-
-        seen = {}
-
-        def fake_run_fabric(fn, items, config=None, **kwargs):
-            seen["listen"] = config.listen
-            raise fabric_module.FabricError("stop here")
-
-        monkeypatch.setattr(fabric_module, "run_fabric", fake_run_fabric)
-        with pytest.raises(SystemExit, match="stop here"):
-            main(["sweep-fabric", "--listen", "127.0.0.1:0", "--no-cache"])
-        assert seen["listen"] == "127.0.0.1:0"
-
-    def test_worker_needs_directory_or_connect(self):
-        with pytest.raises(
-            SystemExit, match="fabric directory, --connect"
-        ):
+    def test_worker_needs_connect(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["worker"])
+        assert exc.value.code == 2
+        assert "--connect" in capsys.readouterr().err
 
     def test_worker_connect_refused_is_a_clean_exit(self, monkeypatch):
         import socket
@@ -566,33 +557,37 @@ class TestFabricCommands:
         with pytest.raises(SystemExit, match="unreachable"):
             main(["worker", "--connect", f"127.0.0.1:{port}"])
 
-    def test_sweep_fabric_matches_fig2_output(self, tmp_path, capsys):
-        fig2_argv = [
+    def test_listen_busy_port_is_a_clean_exit(self):
+        import socket
+
+        blocker = socket.socket()
+        blocker.bind(("127.0.0.1", 0))
+        blocker.listen(1)
+        try:
+            port = blocker.getsockname()[1]
+            with pytest.raises(SystemExit, match="cannot listen"):
+                main(["fig2", "--listen", f"127.0.0.1:{port}", "--no-cache"])
+        finally:
+            blocker.close()
+
+    def test_fig2_listen_matches_fig2_output(self, tmp_path, capsys):
+        argv = [
             "fig2", "--packets", "40", "--seed", "1",
             "--interarrivals", "4,20", "--no-cache",
         ]
-        assert main(fig2_argv) == 0
+        assert main(argv) == 0
         fig2_out = capsys.readouterr().out
 
-        assert main([
-            "sweep-fabric", "--packets", "40", "--seed", "1",
-            "--interarrivals", "4,20", "--workers", "2",
-            "--lease-ttl", "10", "--no-cache",
-            "--fabric-dir", str(tmp_path / "fab"),
-        ]) == 0
+        assert main(argv + ["--listen", "127.0.0.1:0", "--jobs", "2"]) == 0
         fabric_out = capsys.readouterr().out
-        assert "fabric:" in fabric_out
-        assert "worker w" in fabric_out
+        assert "fabric endpoint listening on 127.0.0.1:" in fabric_out
+        assert "6 uploads (0 duplicates)" in fabric_out
 
         def tables_only(text):
-            lines = []
-            for line in text.splitlines():
-                if line.startswith(("cache:", "journal:", "fabric")):
-                    continue
-                if line.startswith("  worker "):
-                    continue
-                lines.append(line)
-            return [line for line in lines if line.strip()]
+            return [
+                line for line in text.splitlines()
+                if line.strip() and not line.startswith("fabric")
+            ]
 
         assert tables_only(fig2_out) == tables_only(fabric_out)
 

@@ -1,109 +1,144 @@
-"""Networked fabric end-to-end: TCP workers, chaos, degradation ladder.
+"""Networked fabric end-to-end: TCP workers, chaos, endpoint loss.
 
-The acceptance property (ISSUE 9): a sweep run over TCP through the
-chaos proxy -- drops, duplicates, a mid-run partition -- merges
-bit-identical to the serial executor, and losing the coordinator's
-listener mid-run degrades to shared-directory or serial completion
-with zero lost cells.
+A remote worker over TCP -- direct or through the chaos proxy with
+drops, duplicates, resets and a partition -- returns results that merge
+bit-identical to the serial executor, and losing the endpoint mid-run
+ends the worker with a clear error instead of a hang.
 """
 
-import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.runtime import executors, supervised_map, transport, use_runtime
 from repro.runtime.chaosnet import ChaosProxy, NetFaultPlan, PartitionWindow
 from repro.runtime.executors import SerialExecutor
-from repro.runtime.fabric import (
-    FabricConfig,
-    FabricError,
-    FabricWorker,
-    ResultsScanner,
-    run_fabric,
-    write_grid,
-)
+from repro.runtime.fabric import FabricError, FabricWorker, function_ref
 from repro.runtime.transport import (
     Backoff,
     FabricEndpoint,
     TransportClient,
+    TransportDown,
+    pack_blob,
 )
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _cube(x):
     return x**3
 
 
-def _free_port():
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    return port
+def _slow_cube(x):
+    time.sleep(0.2)
+    return x**3
 
 
-def _grid(tmp_path, items, lease_ttl=60.0):
-    config = FabricConfig(workers=0, lease_ttl=lease_ttl)
-    write_grid(tmp_path, "sweep-net", "test", list(items), None, config)
+def _simulate(seed):
+    from repro.runtime.context import run_simulation
+    from repro.sim.config import SimulationConfig
+
+    config = SimulationConfig.paper_baseline(
+        interarrival=4.0, case="rcad", n_packets=40, seed=seed
+    )
+    return run_simulation(config).mean_latency()
 
 
-def _merge(tmp_path, n):
-    scanner = ResultsScanner(tmp_path, n)
-    scanner.scan()
-    return [scanner.cells.get(i) for i in range(n)]
+@pytest.fixture(autouse=True)
+def _restore_fork_globals(monkeypatch):
+    # In-thread workers set the executors' fork-side globals.
+    monkeypatch.setattr(executors, "_IN_WORKER", False)
+    monkeypatch.setattr(executors, "_ACTIVE", None)
+
+
+_THREADS: list[threading.Thread] = []
+
+
+@pytest.fixture()
+def served():
+    """An endpoint armed with a sweep of ``fn`` over ``items``; yields
+    ``(endpoint, arm)`` where ``arm(fn, items)`` returns the futures.
+    Teardown stops the endpoint -- workers are told to leave -- and
+    joins every worker thread, so none outlives its test."""
+    endpoint = FabricEndpoint()
+    endpoint.start()
+
+    def arm(fn, items):
+        endpoint.arm(
+            "net",
+            {"fn_ref": function_ref(fn), "items": pack_blob(items), "telemetry": False},
+        )
+        return [endpoint.submit(index) for index in range(len(items))]
+
+    yield endpoint, arm
+    endpoint.stop()
+    while _THREADS:
+        thread = _THREADS.pop()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "a fabric worker outlived its test"
+
+
+def _run_worker(worker):
+    outcome = {}
+
+    def target():
+        try:
+            outcome["computed"] = worker.run()
+        except Exception as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    _THREADS.append(thread)
+    return thread, outcome
+
+
+def _values(futures):
+    return [future.result(timeout=60)[0][1] for future in futures]
 
 
 class TestNetworkedWorker:
-    def test_tcp_worker_matches_serial_bit_for_bit(self, tmp_path):
+    def test_tcp_worker_matches_serial_bit_for_bit(self, served):
+        endpoint, arm = served
         items = list(range(8))
-        _grid(tmp_path, items)
-        endpoint = FabricEndpoint(tmp_path)
-        port = endpoint.start()
+        futures = arm(_cube, items)
+        worker = FabricWorker(TransportClient(("127.0.0.1", endpoint.port), "net0"))
+        _run_worker(worker)
+        assert _values(futures) == SerialExecutor().map(_cube, items)
+        assert endpoint.cells_by == {"net0": len(items)}
+
+    def test_worker_heartbeats_count_as_external_liveness(self, served, monkeypatch):
+        """A remote worker running the sweep raises the pool's capacity
+        for as long as it is heard from."""
+        monkeypatch.setattr(transport, "LEASE_TTL", 0.5)
+        endpoint, arm = served
+        arm(_cube, [1, 2])
+        client = TransportClient(("127.0.0.1", endpoint.port), "nethb")
         try:
-            worker = FabricWorker(
-                fn=_cube,
-                connect=f"127.0.0.1:{port}",
-                worker_id="net0",
-                max_retry_elapsed=10.0,
-            )
-            assert worker.run() == len(items)
-            assert worker.transport_degraded is False
+            client.call("acquire", sweep="net")
+            client.call("heartbeat", stats=client.stats.to_json())
+            assert endpoint.live_runners() == 1
+            assert endpoint.client_stats["nethb"]["rpcs"] >= 1
+            time.sleep(0.6)
+            assert endpoint.live_runners() == 0
         finally:
-            endpoint.stop()
-        assert _merge(tmp_path, len(items)) == SerialExecutor().map(_cube, items)
+            client.close(bye=True)
 
-    def test_worker_heartbeats_count_as_external_liveness(self, tmp_path):
-        _grid(tmp_path, range(3))
-        endpoint = FabricEndpoint(tmp_path)
-        port = endpoint.start()
-        try:
-            client = TransportClient(
-                ("127.0.0.1", port), "nethb", max_retry_elapsed=5.0
-            )
-            client.call("heartbeat", cells_done=0)
-            client.close()
-            payload = json.loads(
-                (tmp_path / "workers" / "nethb.json").read_text()
-            )
-            assert payload["via"] == "tcp"
-            assert payload["pid"] is None
-            from repro.runtime.fabric import _any_external_heartbeat
-
-            assert _any_external_heartbeat(tmp_path, []) is True
-        finally:
-            endpoint.stop()
-
-    def test_chaos_run_matches_serial_bit_for_bit(self, tmp_path):
+    def test_chaos_run_matches_serial_bit_for_bit(self, served):
         """Drops + duplicates + mid-frame resets + one full partition:
-        the merged grid is still byte-identical to serial."""
+        the results are still byte-identical to serial."""
+        endpoint, arm = served
         items = list(range(9))
-        _grid(tmp_path, items)
-        endpoint = FabricEndpoint(tmp_path)
-        port = endpoint.start()
+        futures = arm(_cube, items)
         proxy = ChaosProxy(
             "127.0.0.1",
-            port,
+            endpoint.port,
             NetFaultPlan(
                 drop_probability=0.10,
                 duplicate_probability=0.10,
@@ -113,16 +148,16 @@ class TestNetworkedWorker:
             ),
         )
         chaos_port = proxy.start()
+        client = TransportClient(
+            ("127.0.0.1", chaos_port),
+            "net0",
+            call_timeout=0.5,
+            max_retry_elapsed=60.0,
+            backoff=Backoff(base=0.01, cap=0.1),
+        )
         try:
-            client = TransportClient(
-                ("127.0.0.1", chaos_port),
-                "net0",
-                call_timeout=0.5,
-                max_retry_elapsed=60.0,
-                backoff=Backoff(base=0.01, cap=0.1),
-            )
-            worker = FabricWorker(fn=_cube, transport_client=client)
-            assert worker.run() == len(items)
+            _run_worker(FabricWorker(client))
+            assert _values(futures) == SerialExecutor().map(_cube, items)
             # The chaos plan actually fired.
             assert (
                 proxy.stats.frames_dropped
@@ -131,238 +166,143 @@ class TestNetworkedWorker:
             ) > 0
             assert client.stats.retransmitted_frames > 0
         finally:
+            endpoint.stop()  # the worker hears "shutdown" through the proxy
             proxy.stop()
-            endpoint.stop()
-        assert _merge(tmp_path, len(items)) == SerialExecutor().map(_cube, items)
 
-    def test_duplicate_uploads_replayed_twice_merge_identically(self, tmp_path):
-        """Satellite: every journal upload delivered twice end-to-end
-        still merges bit-identical to serial (dedup by worker/index/sha
-        at the endpoint, by item index at merge time)."""
+    def test_remote_worker_mirrors_coordinator_telemetry(self, served):
+        """A remote worker runs cells with the coordinator's telemetry
+        setting, so its uploaded per-cell runs equal a serial capture."""
+        import json
+
+        from repro.runtime import use_runtime
+
+        endpoint, _ = served
+        seeds = [0, 1]
+        endpoint.arm(
+            "tele",
+            {"fn_ref": function_ref(_simulate), "items": pack_blob(seeds), "telemetry": True},
+        )
+        futures = [endpoint.submit(index) for index in range(len(seeds))]
+        _run_worker(FabricWorker(TransportClient(("127.0.0.1", endpoint.port), "net0")))
+        uploaded = [future.result(timeout=60) for future in futures]
+
+        with use_runtime(telemetry=True) as ctx:
+            serial = [_simulate(seed) for seed in seeds]
+
+        def runs(pairs):
+            return [(key, json.dumps(run.snapshot(), sort_keys=True)) for key, run in pairs]
+
+        assert [payload[1] for payload, *_ in uploaded] == serial
+        assert runs(r for *_, telemetry_runs in uploaded for r in telemetry_runs) == runs(
+            ctx.telemetry.runs
+        )
+
+    def test_duplicate_uploads_replayed_twice_merge_identically(self, served):
+        """Every upload delivered twice end-to-end: the second copy is
+        counted as a duplicate and the results stay serial-identical."""
+        endpoint, arm = served
         items = list(range(6))
-        _grid(tmp_path, items)
-        endpoint = FabricEndpoint(tmp_path)
-        port = endpoint.start()
-        try:
-            client = TransportClient(
-                ("127.0.0.1", port), "net0", max_retry_elapsed=10.0
-            )
+        futures = arm(_cube, items)
+        client = TransportClient(("127.0.0.1", endpoint.port), "net0")
+        original_call = client.call
 
-            original_call = client.call
+        def duplicating_call(op, **kwargs):
+            response = original_call(op, **kwargs)
+            if op == "upload":
+                assert original_call(op, **kwargs)["deduped"] is True
+            return response
 
-            def duplicating_call(op, **kwargs):
-                response = original_call(op, **kwargs)
-                if op == "upload":
-                    replay = original_call(op, **kwargs)
-                    assert replay["deduped"] is True
-                return response
-
-            client.call = duplicating_call
-            worker = FabricWorker(fn=_cube, transport_client=client)
-            assert worker.run() == len(items)
-            assert endpoint.stats.uploads_deduped == len(items)
-        finally:
-            endpoint.stop()
-        assert _merge(tmp_path, len(items)) == SerialExecutor().map(_cube, items)
-        journal = (tmp_path / "results" / "net0.jsonl").read_text()
-        assert journal.count('"kind": "cell"') == len(items)
-
-
-def _slow_cube(x):
-    time.sleep(0.2)
-    return x**3
+        client.call = duplicating_call
+        _run_worker(FabricWorker(client))
+        assert _values(futures) == SerialExecutor().map(_cube, items)
+        deadline = time.monotonic() + 10  # the last replay trails its future
+        while endpoint.stats.uploads_deduped < len(items) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert endpoint.stats.uploads == len(items)
+        assert endpoint.stats.uploads_deduped == len(items)
 
 
 class TestDegradationLadder:
-    def test_endpoint_loss_falls_back_to_shared_directory(self, tmp_path):
-        """Kill the listener mid-run: a worker with the directory
-        mounted continues there; zero cells are lost."""
-        items = list(range(6))
-        _grid(tmp_path, items)
-        endpoint = FabricEndpoint(tmp_path)
-        port = endpoint.start()
+    def test_endpoint_loss_without_directory_abandons_clearly(self, served):
+        """Kill the endpoint while a worker is mid-cell: its upload
+        exhausts the retry budget and the worker ends with
+        TransportDown instead of hanging."""
+        endpoint, arm = served
+        arm(_slow_cube, list(range(6)))
         client = TransportClient(
-            ("127.0.0.1", port),
-            "net0",
-            call_timeout=0.5,
-            max_retry_elapsed=1.5,
-            backoff=Backoff(base=0.01, cap=0.05),
-        )
-        worker = FabricWorker(tmp_path, fn=_slow_cube, transport_client=client)
-        killer = threading.Timer(0.5, endpoint.stop)
-        killer.start()
-        try:
-            assert worker.run() == len(items)
-        finally:
-            killer.cancel()
-            endpoint.stop()
-        assert worker.transport_degraded is True
-        assert _merge(tmp_path, len(items)) == SerialExecutor().map(
-            _slow_cube, items
-        )
-
-    def test_endpoint_loss_without_directory_abandons_clearly(self, tmp_path):
-        items = list(range(6))
-        _grid(tmp_path, items)
-        endpoint = FabricEndpoint(tmp_path)
-        port = endpoint.start()
-        client = TransportClient(
-            ("127.0.0.1", port),
+            ("127.0.0.1", endpoint.port),
             "net0",
             call_timeout=0.5,
             max_retry_elapsed=1.0,
             backoff=Backoff(base=0.01, cap=0.05),
         )
-        worker = FabricWorker(fn=_slow_cube, transport_client=client)
-        threading.Timer(0.3, endpoint.stop).start()
-        with pytest.raises(FabricError, match="no shared fabric directory"):
-            worker.run()
-        assert worker.transport_degraded is True
+        thread, outcome = _run_worker(FabricWorker(client))
+        deadline = time.monotonic() + 30
+        while endpoint.stats.leases < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)  # second lease taken: the worker is mid-cell
+        endpoint.stop(grace=0)
+        thread.join(timeout=30)
+        assert isinstance(outcome.get("error"), TransportDown)
 
-    def test_wrong_sweep_in_fallback_directory_is_rejected(self, tmp_path):
-        net_dir = tmp_path / "net"
-        other_dir = tmp_path / "other"
-        _grid(net_dir, range(4))
-        config = FabricConfig(workers=0, lease_ttl=60.0)
-        write_grid(
-            other_dir, "different-sweep", "test", list(range(4)), None, config
-        )
-        endpoint = FabricEndpoint(net_dir)
-        port = endpoint.start()
-        client = TransportClient(
-            ("127.0.0.1", port),
-            "net0",
-            call_timeout=0.5,
-            max_retry_elapsed=1.0,
-            backoff=Backoff(base=0.01, cap=0.05),
-        )
-        worker = FabricWorker(
-            other_dir, fn=_slow_cube, transport_client=client
-        )
-        threading.Timer(0.3, endpoint.stop).start()
-        with pytest.raises(FabricError, match="different sweep"):
-            worker.run()
+    def test_version_mismatch_is_rejected_at_hello(self, served):
+        endpoint, _ = served
+        client = TransportClient(("127.0.0.1", endpoint.port), "net0")
+        original_call = client.call
 
-    def test_version_mismatch_is_rejected_at_hello(self, tmp_path):
-        _grid(tmp_path, range(3))
-        endpoint = FabricEndpoint(tmp_path)
-        port = endpoint.start()
-        try:
-            client = TransportClient(
-                ("127.0.0.1", port), "net0", max_retry_elapsed=5.0
-            )
-            original_call = client.call
+        def skewed_call(op, **kwargs):
+            response = original_call(op, **kwargs)
+            if op == "hello":
+                response["version"] = 999
+            return response
 
-            def skewed_call(op, **kwargs):
-                response = original_call(op, **kwargs)
-                if op == "hello":
-                    response["version"] = 999
-                return response
-
-            client.call = skewed_call
-            with pytest.raises(FabricError, match="transport.*version|version"):
-                FabricWorker(fn=_cube, transport_client=client)
-        finally:
-            endpoint.stop()
+        client.call = skewed_call
+        with pytest.raises(FabricError, match="version"):
+            FabricWorker(client).run()
+        client.close()
 
 
 class TestCoordinatorEndpoint:
-    def test_run_fabric_serves_tcp_workers(self, tmp_path):
-        items = list(range(8))
-        port = _free_port()
-        config = FabricConfig(
-            workers=0,
-            lease_ttl=15.0,
-            poll_interval=0.05,
-            fabric_dir=tmp_path / "fab",
-            listen=f"127.0.0.1:{port}",
-        )
-        computed = {}
-
-        def join():
-            # Give run_fabric a moment to bind the endpoint.
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                try:
-                    worker = FabricWorker(
-                        fn=_cube,
-                        connect=f"127.0.0.1:{port}",
-                        worker_id="ext0",
-                        max_retry_elapsed=5.0,
-                    )
-                    break
-                except Exception:
-                    time.sleep(0.05)
-            else:  # pragma: no cover - endpoint never came up
-                return
-            computed["n"] = worker.run()
-
-        thread = threading.Thread(target=join)
-        thread.start()
-        try:
-            results, report = run_fabric(
-                _cube, items, config=config, label="net-e2e"
+    def test_listen_serves_tcp_workers(self, tmp_path):
+        """A ``repro worker --connect`` process joins a --listen sweep
+        and takes a share of its cells."""
+        items = list(range(10))
+        with use_runtime(jobs=1, listen="127.0.0.1:0") as ctx:
+            remote = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro", "worker",
+                    "--connect", ctx.executor.address, "--worker-id", "ext0",
+                    "--cache-dir", str(tmp_path / "cache"),
+                ],
+                env={**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), str(REPO)])},
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
             )
-        finally:
-            thread.join(timeout=30.0)
+            endpoint = ctx.executor.endpoint
+            deadline = time.monotonic() + 60
+            while not endpoint.stats.connections and time.monotonic() < deadline:
+                time.sleep(0.05)  # the remote is in before the sweep starts
+            results = supervised_map(_slow_cube, items, ctx)
+        out, err = remote.communicate(timeout=60)
         assert results == SerialExecutor().map(_cube, items)
-        assert computed.get("n") == len(items)
-        assert report.endpoint == f"127.0.0.1:{port}"
-        assert report.transport["uploads"] == len(items)
-        assert report.transport["connections"] >= 1
-        assert "client_reconnects" in report.transport
-        assert f"endpoint 127.0.0.1:{port}" in report.render()
+        assert remote.returncode == 0, err
+        assert endpoint.cells_by.get("ext0", 0) >= 1
+        assert f"computed {endpoint.cells_by['ext0']} cells" in out
+        assert "ext0" in ctx.executor.render()
 
-    def test_listen_port_conflict_is_a_fabric_error(self, tmp_path):
+    def test_listen_port_conflict_is_a_fabric_error(self):
         blocker = socket.socket()
-        blocker.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         blocker.bind(("127.0.0.1", 0))
         blocker.listen(1)
         port = blocker.getsockname()[1]
         try:
-            config = FabricConfig(
-                workers=0,
-                lease_ttl=1.0,
-                fabric_dir=tmp_path / "fab",
-                listen=f"127.0.0.1:{port}",
-            )
             with pytest.raises(FabricError, match="cannot listen"):
-                run_fabric(_cube, list(range(3)), config=config, label="conflict")
+                with use_runtime(jobs=1, listen=f"127.0.0.1:{port}"):
+                    pass
         finally:
             blocker.close()
 
-    def test_completed_grid_skips_the_endpoint(self, tmp_path):
-        """Rerunning a finished sweep must not bind a socket at all."""
-        items = list(range(4))
-        fabric_dir = tmp_path / "fab"
-        config = FabricConfig(
-            workers=0, lease_ttl=1.0, poll_interval=0.05, fabric_dir=fabric_dir
-        )
-        results, _ = run_fabric(_cube, items, config=config, label="pre")
-        assert results == SerialExecutor().map(_cube, items)
-        # Same sweep again, now with a listen endpoint on a port that
-        # is deliberately already taken: no bind may be attempted.
-        blocker = socket.socket()
-        blocker.bind(("127.0.0.1", 0))
-        blocker.listen(1)
-        port = blocker.getsockname()[1]
-        try:
-            config2 = FabricConfig(
-                workers=0,
-                lease_ttl=1.0,
-                poll_interval=0.05,
-                fabric_dir=fabric_dir,
-                listen=f"127.0.0.1:{port}",
-            )
-            results2, report2 = run_fabric(
-                _cube, items, config=config2, label="pre"
-            )
-        finally:
-            blocker.close()
-        assert results2 == results
-        assert report2.endpoint is None
-        assert report2.resumed == len(items)
-
-    def test_config_validates_listen_endpoint_eagerly(self, tmp_path):
+    def test_config_validates_listen_endpoint_eagerly(self):
         with pytest.raises(ValueError, match="host:port"):
-            FabricConfig(listen="not-an-endpoint")
+            with use_runtime(listen="not-an-endpoint"):
+                pass

@@ -117,11 +117,11 @@ class TestLazyRuntimeNames:
         exec("from repro.runtime import *", namespace)
         assert set(repro.runtime.__all__) <= set(namespace)
         assert namespace["ChaosProxy"] is repro.runtime.chaosnet.ChaosProxy
-        assert namespace["run_fabric"] is repro.runtime.fabric.run_fabric
+        assert namespace["FabricExecutor"] is repro.runtime.fabric.FabricExecutor
 
     def test_dir_lists_lazy_names(self):
         listing = dir(repro.runtime)
-        for name in ("ChaosProxy", "FabricConfig", "TransportClient", "run_fabric"):
+        for name in ("ChaosProxy", "FabricPool", "TransportClient", "FabricExecutor"):
             assert name in listing
 
     def test_unknown_name_raises_attribute_error(self):

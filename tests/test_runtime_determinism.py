@@ -77,50 +77,63 @@ class TestFabricDeterminism:
     """The distributed fabric is held to the same bar as --jobs N:
     bit-identical to the serial executor, asserted with ``==``."""
 
-    def test_fabric_bit_identical_to_serial(self, tmp_path):
+    def test_fabric_bit_identical_to_serial(self):
         from repro.experiments.fig2 import fig2_cell, fig2_cells
-        from repro.runtime.fabric import FabricConfig, run_fabric
 
         cells = fig2_cells(LOADS, n_packets=60, seed=2)
         serial = [fig2_cell(cell) for cell in cells]
-        results, report = run_fabric(
-            fig2_cell, cells,
-            config=FabricConfig(
-                workers=2, lease_ttl=10.0, heartbeat_interval=1.0,
-                poll_interval=0.05, fabric_dir=tmp_path / "fab",
-            ),
-            label="determinism",
-        )
+        with use_runtime(jobs=2, listen="127.0.0.1:0") as ctx:
+            results = sweep(cells, fig2_cell)
         assert results == serial  # == on floats, not approx
-        assert not report.degraded
-        assert not report.failed
+        assert ctx.executor.endpoint.stats.uploads == len(cells)
 
-    def test_fabric_tables_bit_identical_to_figure2(self, tmp_path):
-        from repro.experiments.fig2 import (
-            fig2_cell,
-            fig2_cells,
-            fig2_tables,
-            figure2,
-        )
-        from repro.runtime.fabric import FabricConfig, run_fabric
+    def test_fabric_tables_bit_identical_to_figure2(self):
+        from repro.experiments.fig2 import figure2
 
-        serial_mse, serial_latency = figure2(
-            interarrivals=LOADS, n_packets=60, seed=2
-        )
-        cells = fig2_cells(LOADS, n_packets=60, seed=2)
-        results, _ = run_fabric(
-            fig2_cell, cells,
-            config=FabricConfig(
-                workers=2, lease_ttl=10.0, heartbeat_interval=1.0,
-                poll_interval=0.05, fabric_dir=tmp_path / "fab",
-            ),
-            label="tables",
-        )
-        fabric_mse, fabric_latency = fig2_tables(cells, results)
-        for serial_table, fabric_table in (
-            (serial_mse, fabric_mse), (serial_latency, fabric_latency)
-        ):
+        serial = figure2(interarrivals=LOADS, n_packets=60, seed=2)
+        with use_runtime(jobs=2, listen="127.0.0.1:0"):
+            fabric = figure2(interarrivals=LOADS, n_packets=60, seed=2)
+        for serial_table, fabric_table in zip(serial, fabric):
             for s, p in zip(serial_table.series, fabric_table.series):
                 assert s.label == p.label
                 assert s.x_values == p.x_values
                 assert s.y_values == p.y_values
+
+    def test_fig3_and_scenarios_bit_identical_to_serial(self):
+        """fig3 and scenarios never had a fabric path of their own; under
+        --listen their tables, summaries and per-cell telemetry runs
+        must equal serial's."""
+        import json
+
+        from repro.experiments.fig3 import figure3
+        from repro.scenarios import parse_suite, run_suite, summaries_to_dict
+
+        specs = parse_suite({
+            "scenarios": [{
+                "name": "mini",
+                "topology": {"family": "line", "n_nodes": 5},
+                "traffic": [{"model": "periodic", "interarrival": 6.0}],
+                "defenses": [{"name": "no-delay"}, {"name": "rcad"}],
+                "n_packets": 20,
+                "seeds": [0, 1],
+            }]
+        })
+
+        def run(**runtime):
+            with use_runtime(telemetry=True, **runtime) as ctx:
+                table = figure3(interarrivals=LOADS, n_packets=60, seed=2)
+                summaries = summaries_to_dict(run_suite(specs))
+            runs = [
+                (key, json.dumps(run.snapshot(), sort_keys=True))
+                for key, run in ctx.telemetry.runs
+                if key != "fabric"
+            ]
+            series = [(s.label, s.x_values, s.y_values) for s in table.series]
+            return series, summaries, runs
+
+        serial = run()
+        fabric = run(jobs=2, listen="127.0.0.1:0")
+        assert fabric[0] == serial[0]
+        assert fabric[1] == serial[1]
+        assert len(fabric[2]) == len(serial[2]) > 0
+        assert fabric[2] == serial[2]

@@ -62,6 +62,14 @@ class TestServiceConfig:
         with pytest.raises(ValueError):
             ServiceConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field", ["mean_delay", "watchdog_interval", "stall_timeout", "drain_poll"]
+    )
+    def test_nan_rejected(self, field):
+        # NaN fails every comparison, so a ``<= 0`` check lets it through.
+        with pytest.raises(ValueError, match=f"{field}.*NaN"):
+            ServiceConfig(**{field: float("nan")})
+
 
 class TestDegradationLadder:
     def test_classification(self):

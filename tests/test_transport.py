@@ -1,9 +1,9 @@
 """Fabric TCP transport: framing, backoff, client retransmission, endpoint.
 
-The transport is an access path onto the fabric directory, so these
-tests exercise the wire layer in isolation: frame integrity, endpoint
-parsing, retry pacing, at-least-once retransmission against a flaky
-server, and each endpoint RPC against a real grid directory.
+These tests exercise the wire layer and the endpoint in isolation:
+frame integrity, endpoint parsing, retry pacing, at-least-once
+retransmission against a flaky server, and each endpoint RPC against
+an armed sweep whose futures the test holds.
 """
 
 import random
@@ -13,9 +13,9 @@ import time
 
 import pytest
 
-from repro.runtime.fabric import FabricConfig, ResultsScanner, write_grid
-from repro.runtime.journal import encode_cell_entry
+from repro.runtime import transport
 from repro.runtime.transport import (
+    LEASE_TTL,
     MAX_FRAME_BYTES,
     TRANSPORT_VERSION,
     Backoff,
@@ -27,6 +27,7 @@ from repro.runtime.transport import (
     decode_frame,
     encode_frame,
     format_endpoint,
+    pack_blob,
     parse_endpoint,
     recv_frame,
     send_frame,
@@ -271,142 +272,156 @@ class TestTransportClient:
         assert time.monotonic() - started < 5.0
 
 
-def _make_grid(tmp_path, items, lease_ttl=30.0):
-    config = FabricConfig(workers=0, lease_ttl=lease_ttl)
-    write_grid(tmp_path, "sweep-test", "test", list(items), None, config)
+GRID = {"fn_ref": None, "items": None, "telemetry": False}
 
 
 class TestFabricEndpoint:
     @pytest.fixture()
-    def served(self, tmp_path):
-        _make_grid(tmp_path, range(5))
-        endpoint = FabricEndpoint(tmp_path)
+    def served(self):
+        endpoint = FabricEndpoint()
         port = endpoint.start()
-        client = TransportClient(
-            ("127.0.0.1", port), "w0", max_retry_elapsed=5.0
-        )
-        yield tmp_path, endpoint, client
+        endpoint.arm("sweep-test", GRID)
+        futures = [endpoint.submit(index) for index in range(5)]
+        client = TransportClient(("127.0.0.1", port), "w0", max_retry_elapsed=5.0)
+        yield endpoint, client, futures
         client.close()
-        endpoint.stop()
+        endpoint.stop(grace=0)
 
     def test_hello_describes_the_grid(self, served):
-        _, _, client = served
+        _, client, _ = served
         hello = client.call("hello")
         assert hello["version"] == TRANSPORT_VERSION
         assert hello["sweep"] == "sweep-test"
-        assert hello["n_items"] == 5
-        assert hello["lease_ttl"] == pytest.approx(30.0)
+        assert hello["lease_ttl"] == pytest.approx(LEASE_TTL)
         assert "t" in hello
 
-    def test_grid_ships_the_exact_file_lines(self, served):
-        tmp_path, _, client = served
-        lines = client.call("grid")["lines"]
-        on_disk = (tmp_path / "grid.jsonl").read_text().splitlines()
-        assert lines == on_disk
+    def test_grid_ships_the_armed_grid(self, served):
+        _, client, _ = served
+        grid = client.call("grid", sweep="sweep-test")
+        assert {key: grid[key] for key in GRID} == GRID
+        with pytest.raises(TransportError, match="not armed"):
+            client.call("grid", sweep="other")
+
+    def test_acquire_without_the_armed_sweep_gets_no_lease(self, served):
+        """A worker names the sweep it has loaded; any other answer
+        tells it which sweep to load first."""
+        endpoint, client, _ = served
+        response = client.call("acquire", sweep=None)
+        assert response["index"] is None
+        assert response["sweep"] == "sweep-test"
+        assert endpoint.stats.leases == 0
 
     def test_acquire_walks_the_whole_grid(self, served):
-        _, endpoint, client = served
+        _, client, futures = served
         seen = set()
         for _ in range(5):
-            response = client.call("acquire")
-            assert response["complete"] is False
-            index = response["index"]
+            index = client.call("acquire", sweep="sweep-test")["index"]
             seen.add(index)
-            entry = encode_cell_entry(index, index * 2)
-            entry["worker"] = "w0"
-            client.call("upload", entry=entry)
+            client.call("upload", sweep="sweep-test", index=index, **pack_blob(index * 2))
         assert seen == set(range(5))
-        final = client.call("acquire")
-        assert final["index"] is None
-        assert final["complete"] is True
+        assert [future.result(timeout=5) for future in futures] == [0, 2, 4, 6, 8]
+        assert client.call("acquire", sweep="sweep-test")["index"] is None
 
     def test_acquire_re_delivery_returns_the_same_cell(self, served):
         """A lost acquire response replays safely: the worker still
         owns the lease, so the retransmitted acquire lands on the same
         index instead of leaking a second lease."""
-        _, _, client = served
-        first = client.call("acquire")["index"]
-        assert client.call("acquire")["index"] == first
+        _, client, _ = served
+        first = client.call("acquire", sweep="sweep-test")["index"]
+        assert client.call("acquire", sweep="sweep-test")["index"] == first
 
-    def test_claim_is_idempotent_for_the_same_worker(self, served):
-        _, _, client = served
-        assert client.call("claim", index=2)["claimed"] is True
-        assert client.call("claim", index=2)["claimed"] is True
-
-    def test_claim_of_live_foreign_lease_fails(self, served):
-        tmp_path, endpoint, client = served
-        other = TransportClient(
-            ("127.0.0.1", endpoint.port), "w1", max_retry_elapsed=5.0
-        )
+    def test_orphaned_sweep_fails_its_futures(self, monkeypatch):
+        """Nobody left running the sweep: its futures fail (the
+        supervisor treats that as a worker crash) instead of hanging."""
+        monkeypatch.setattr(transport, "LEASE_TTL", 0.2)
+        endpoint = FabricEndpoint()
+        endpoint.start()
         try:
-            assert other.call("claim", index=1)["claimed"] is True
-            other.call("heartbeat")
-            assert client.call("claim", index=1)["claimed"] is False
+            endpoint.arm("orphan", GRID)
+            future = endpoint.submit(0)
+            with pytest.raises(TransportError, match="no fabric worker"):
+                future.result(timeout=10)
         finally:
-            other.close()
+            endpoint.stop(grace=0)
 
-    def test_claim_out_of_range_is_an_error(self, served):
-        _, _, client = served
-        with pytest.raises(TransportError, match="out of range"):
-            client.call("claim", index=99)
+    def test_disarm_cancels_open_futures(self, served):
+        endpoint, client, futures = served
+        endpoint.disarm()
+        assert all(future.cancelled() for future in futures)
+        assert client.call("acquire", sweep="sweep-test")["index"] is None
 
-    def test_upload_appends_a_verifiable_journal(self, served):
-        tmp_path, _, client = served
-        entry = encode_cell_entry(3, {"value": 123})
-        entry["worker"] = "w0"
-        assert client.call("upload", entry=entry)["deduped"] is False
-        scanner = ResultsScanner(tmp_path, 5)
-        scanner.scan()
-        assert scanner.cells == {3: {"value": 123}}
+    def test_stop_tells_workers_to_leave(self, served):
+        endpoint, client, _ = served
+        client.call("heartbeat")
+        stopper = threading.Thread(target=endpoint.stop)
+        stopper.start()
+        time.sleep(0.1)
+        assert client.call("acquire", sweep="sweep-test")["shutdown"] is True
+        client.call("bye")
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()  # the goodbye ended the drain early
+
+    def test_stop_severs_live_connections(self, served):
+        """A connected worker cannot keep a stopped endpoint serving
+        (since Python 3.12 a closed asyncio server keeps its live
+        connections until the peers hang up)."""
+        endpoint, client, _ = served
+        client.call("acquire", sweep="sweep-test")
+        started = time.monotonic()
+        endpoint.stop(grace=0)
+        assert time.monotonic() - started < 5.0
+        with pytest.raises(TransportDown):
+            client.call("acquire", sweep="sweep-test", max_elapsed=0.5)
+
+    def test_upload_resolves_the_cell_future(self, served):
+        _, client, futures = served
+        response = client.call(
+            "upload", sweep="sweep-test", index=3, **pack_blob({"value": 123})
+        )
+        assert response["deduped"] is False
+        assert futures[3].result(timeout=5) == {"value": 123}
 
     def test_duplicate_upload_is_deduplicated(self, served):
-        tmp_path, endpoint, client = served
-        entry = encode_cell_entry(0, "payload")
-        entry["worker"] = "w0"
-        assert client.call("upload", entry=entry)["deduped"] is False
-        assert client.call("upload", entry=entry)["deduped"] is True
+        endpoint, client, futures = served
+        blob = pack_blob("payload")
+        assert client.call("upload", sweep="sweep-test", index=0, **blob)["deduped"] is False
+        assert client.call("upload", sweep="sweep-test", index=0, **blob)["deduped"] is True
+        assert endpoint.stats.uploads == 1
         assert endpoint.stats.uploads_deduped == 1
-        journal = (tmp_path / "results" / "w0.jsonl").read_text()
-        assert journal.count('"kind": "cell"') == 1
+        assert futures[0].result(timeout=5) == "payload"
 
     def test_corrupt_upload_is_rejected(self, served):
-        _, _, client = served
-        entry = encode_cell_entry(1, "good")
-        entry["sha"] = "0" * 64
-        with pytest.raises(TransportError):
-            client.call("upload", entry=entry)
+        _, client, futures = served
+        blob = pack_blob("good")
+        blob["sha"] = "0" * 64
+        with pytest.raises(TransportError, match="checksum"):
+            client.call("upload", sweep="sweep-test", index=1, **blob)
+        assert not futures[1].done()
 
     def test_heartbeat_writes_server_side_liveness(self, served):
-        tmp_path, _, client = served
-        response = client.call(
-            "heartbeat", cells_done=2, stats={"reconnects": 1}
-        )
-        assert response["n_items"] == 5
-        import json
-
-        payload = json.loads((tmp_path / "workers" / "w0.json").read_text())
-        assert payload["via"] == "tcp"
-        assert payload["pid"] is None
-        assert payload["cells_done"] == 2
-        assert payload["transport"] == {"reconnects": 1}
+        endpoint, client, _ = served
+        client.call("acquire", sweep="sweep-test")
+        client.call("heartbeat", stats={"reconnects": 1})
+        assert endpoint.client_stats["w0"] == {"reconnects": 1}
+        assert endpoint.live_runners() == 1
 
     def test_status_reports_progress(self, served):
-        _, _, client = served
-        entry = encode_cell_entry(4, 16)
-        entry["worker"] = "w0"
-        client.call("upload", entry=entry)
+        _, client, _ = served
+        index = client.call("acquire", sweep="sweep-test")["index"]
         status = client.call("status")
-        assert status["done"] == [4]
-        assert status["complete"] is False
+        assert status["sweep"] == "sweep-test"
+        assert status["leases"] == {str(index): "w0"}
+        assert status["pending"] == 5
+        assert status["queued"] == 4
 
     def test_unknown_op_is_an_error(self, served):
-        _, endpoint, client = served
+        endpoint, client, _ = served
         with pytest.raises(TransportError, match="unknown op"):
             client.call("frobnicate")
         assert endpoint.stats.unknown_ops == 1
 
     def test_responses_carry_server_time(self, served):
-        _, _, client = served
+        _, client, _ = served
         before = time.time()
         response = client.call("status")
         after = time.time()
@@ -414,7 +429,7 @@ class TestFabricEndpoint:
 
     def test_stale_response_ids_are_discarded(self, served):
         """A duplicated frame in flight must not desynchronize RPCs."""
-        _, endpoint, client = served
+        _, client, _ = served
         # Simulate a duplicate by sending one raw request out-of-band
         # on the client's socket, leaving its (unconsumed) response in
         # the stream, then doing a normal RPC through call().
@@ -425,11 +440,45 @@ class TestFabricEndpoint:
         assert response["ok"] is True
 
     def test_missing_worker_id_is_an_error(self, served):
-        _, _, client = served
+        _, client, _ = served
         with pytest.raises(TransportError, match="worker id"):
             client.call("acquire", worker=None)
 
+    def test_concurrent_workers_lose_no_cell(self, served):
+        """Stress: more worker threads than cores race acquire/upload on
+        one lease table; every cell is leased once and uploaded once."""
+        import sys
+
+        endpoint, _, _ = served
+        endpoint.disarm()
+        endpoint.arm("stress", GRID)
+        futures = [endpoint.submit(index) for index in range(120)]
+
+        def work(worker):
+            client = TransportClient(("127.0.0.1", endpoint.port), worker)
+            try:
+                while (index := client.call("acquire", sweep="stress")["index"]) is not None:
+                    client.call("upload", sweep="stress", index=index, **pack_blob(-index))
+            finally:
+                client.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(f"s{i}",)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [future.result(timeout=5) for future in futures] == [-i for i in range(120)]
+        assert endpoint.stats.leases == endpoint.stats.uploads == 120
+        assert endpoint.stats.uploads_deduped == 0
+        assert sum(endpoint.cells_by.values()) == 120
+
     def test_start_twice_fails(self, served):
-        _, endpoint, _ = served
+        endpoint, _, _ = served
         with pytest.raises(RuntimeError, match="already started"):
             endpoint.start()
