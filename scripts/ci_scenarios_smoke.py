@@ -10,8 +10,10 @@ Three checks:
 
 2. **Serial == parallel** -- a reduced suite (all three topology
    families, four registered defenses) runs end-to-end through the CLI
-   twice, serially and with ``--jobs 2``, against separate caches; the
-   exported per-cell summary JSON must be byte-identical.
+   three times: serially and with ``--jobs 2`` against separate caches,
+   and with ``--no-cache --jobs 2`` (no cache, no journal: the plain
+   supervised fork pool); every exported per-cell summary JSON must be
+   byte-identical to the serial one.
 
 3. **Registry anchoring** -- the ``rcad`` registry entry rebuilt onto
    the paper deployment is fingerprint-identical to
@@ -96,26 +98,31 @@ def check_serial_equals_parallel() -> None:
         suite_path = tmp_path / "suite.json"
         suite_path.write_text(json.dumps(smoke_suite()))
         outputs = {}
-        for label, jobs, cache in (("serial", "1", "cache-a"),
-                                   ("parallel", "2", "cache-b")):
-            out = tmp_path / f"{label}.json"
+        for label, jobs, cache in (
+            ("serial", "1", ["--cache-dir", str(tmp_path / "cache-a")]),
+            ("parallel", "2", ["--cache-dir", str(tmp_path / "cache-b")]),
+            ("uncached parallel", "2", ["--no-cache"]),
+        ):
+            out = tmp_path / f"{label.replace(' ', '-')}.json"
             proc = repro([
-                "scenarios", str(suite_path),
-                "--jobs", jobs,
-                "--cache-dir", str(tmp_path / cache),
+                "scenarios", str(suite_path), "--jobs", jobs, *cache,
                 "--json", str(out),
             ])
             if proc.returncode != 0:
                 fail(f"{label} run exited {proc.returncode}:\n{proc.stderr}")
             outputs[label] = out.read_bytes()
-        if outputs["serial"] != outputs["parallel"]:
-            fail("serial and --jobs 2 summaries differ")
+        for label in ("parallel", "uncached parallel"):
+            if outputs[label] != outputs["serial"]:
+                fail(f"serial and {label} (--jobs 2) summaries differ")
         summaries = json.loads(outputs["serial"])["summaries"]
         if len(summaries) != 9:
             fail(f"expected 9 matrix cells, got {len(summaries)}")
         if any(s["delivered"] == 0 for s in summaries):
             fail("a scenario cell delivered no packets")
-        print(f"ok: serial == --jobs 2 over {len(summaries)} cells")
+        print(
+            f"ok: serial == --jobs 2 == --no-cache --jobs 2 over "
+            f"{len(summaries)} cells"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,13 @@
 """Parameter sweeps and seed replication.
 
-Both entry points route through the ambient
-:class:`~repro.runtime.executors.Executor`, so ``use_runtime(jobs=N)``
-parallelizes every experiment driver without per-driver changes.  The
-executor contract is an order-preserving map over independent items;
-simulations derive all randomness from their configuration's seed via
-named RNG streams, so results are identical under any worker count.
-
-When the active context carries a retry policy or a checkpoint
-journal, the sweep instead routes through
-:func:`repro.runtime.supervisor.supervised_map`, which adds per-item
-timeouts, bounded retries with quarantine, mid-sweep degradation to
-serial, and journal-backed resume -- still order-preserving, still
-bit-identical for every cell that succeeds.
+Both entry points route through
+:func:`repro.runtime.supervisor.supervised_map` under the ambient
+runtime context, so ``use_runtime(jobs=N)`` parallelizes every
+experiment driver without per-driver changes, and its retry policy,
+timeouts, quarantine and checkpoint journal apply to all of them.  The
+map is order-preserving over independent items; simulations derive all
+randomness from their configuration's seed via named RNG streams, so
+every cell that succeeds is bit-identical under any worker count.
 """
 
 from __future__ import annotations
@@ -46,8 +41,8 @@ def sweep(
     """Evaluate ``run_one`` at every swept parameter value, in order.
 
     Thin but load-bearing: every experiment driver funnels its sweep
-    through here, so the active runtime's executor (serial or process
-    pool) and result cache apply to all of them at once.
+    through here, so the active runtime's worker pool (if any) and
+    result cache apply to all of them at once.
     """
     if not parameter_values:
         raise ValueError("sweep needs at least one parameter value")

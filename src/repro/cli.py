@@ -93,9 +93,22 @@ def _int_at_least(minimum: int, requirement: str):
     return parse
 
 
-#: the types of every verb's ``--packets`` and ``--seed``
+#: the types of every verb's counts (``--packets``, ``--flows``) and of
+#: ``--seed``, ``--jobs``, ``--retries`` and ``serve --events``
 _positive_int = _int_at_least(1, "at least 1")
-_seed = _int_at_least(0, "non-negative")
+_non_negative_int = _int_at_least(0, "non-negative")
+
+
+def _flow_id(text: str) -> int:
+    """argparse type: a flow id of the paper's deployment (1..4)."""
+    # Imported on use: the experiments package is not needed to parse.
+    from repro.experiments.common import PAPER_N_SOURCES
+
+    requirement = f"a flow id in 1..{PAPER_N_SOURCES}"
+    value = _int_at_least(1, requirement)(text)
+    if value > PAPER_N_SOURCES:
+        raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
+    return value
 
 
 def _positive_float(text: str) -> float:
@@ -119,6 +132,25 @@ def _positive_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
+def _fraction(text: str) -> float:
+    """argparse type: a number in [0, 1] (NaN rejected)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text!r}")
+    return value
+
+
+def _fraction_list(text: str) -> tuple[float, ...]:
+    """argparse type: comma-separated :func:`_fraction` values."""
+    values = tuple(_fraction(part) for part in text.split(",") if part.strip())
+    if not values:
+        raise argparse.ArgumentTypeError("expected comma-separated values in [0, 1]")
+    return values
+
+
 def _endpoint(allow_port_zero: bool):
     """argparse type: a ``host:port`` address (checked, kept as text)."""
 
@@ -137,7 +169,7 @@ def _endpoint(allow_port_zero: bool):
 
 def _add_runtime_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_non_negative_int, default=1, metavar="N",
         help="worker processes for the sweep (default 1 = serial; "
         "0 = one per CPU; results are bit-identical at any N)",
     )
@@ -151,7 +183,7 @@ def _add_runtime_options(sub: argparse.ArgumentParser) -> None:
         "~/.cache/repro/results)",
     )
     sub.add_argument(
-        "--retries", type=int, default=0, metavar="K",
+        "--retries", type=_non_negative_int, default=0, metavar="K",
         help="retry a failing/hung sweep cell up to K extra times with "
         "exponential backoff (default 0 = fail fast)",
     )
@@ -213,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--packets", type=_positive_int, default=1000,
             help="packets per source (paper: 1000)",
         )
-        sub.add_argument("--seed", type=_seed, default=0, help="root random seed")
+        sub.add_argument("--seed", type=_non_negative_int, default=0, help="root random seed")
         sub.add_argument(
             "--interarrivals", type=_positive_float_list,
             default="2,4,6,8,10,12,14,16,18,20",
@@ -251,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--interarrival", type=_positive_float, default=2.0)
     run.add_argument("--packets", type=_positive_int, default=1000)
-    run.add_argument("--seed", type=_seed, default=0)
-    run.add_argument("--flow", type=int, default=1, help="flow id to score (1..4)")
+    run.add_argument("--seed", type=_non_negative_int, default=0)
+    run.add_argument("--flow", type=_flow_id, default=1, help="flow id to score (1..4)")
     run.add_argument(
         "--traffic", choices=("periodic", "poisson"), default="periodic",
         help="source traffic model (default: the paper's periodic sources; "
@@ -270,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="packets per source (smaller than the paper's 1000: the sweep "
         "runs many cells)",
     )
-    chaos.add_argument("--seed", type=_seed, default=0, help="root random seed")
+    chaos.add_argument("--seed", type=_non_negative_int, default=0, help="root random seed")
     chaos.add_argument(
-        "--intensities", type=str, default="0,0.25,0.5,1.0",
+        "--intensities", type=_fraction_list, default=(0.0, 0.25, 0.5, 1.0),
         help="comma-separated fault intensity values in [0, 1]",
     )
     chaos.add_argument(
@@ -373,16 +405,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--mean-delay", type=_positive_float, default=0.05,
         help="mean exponential added delay in seconds",
     )
-    serve.add_argument("--seed", type=_seed, default=0, help="root random seed")
+    serve.add_argument("--seed", type=_non_negative_int, default=0, help="root random seed")
     serve.add_argument(
         "--rate", type=_positive_float, default=500.0,
         help="mean offered events/second",
     )
     serve.add_argument(
-        "--flows", type=int, default=8, help="synthetic flow ids to round-robin"
+        "--flows", type=_positive_int, default=8,
+        help="synthetic flow ids to round-robin",
     )
     serve.add_argument(
-        "--events", type=int, default=1000,
+        "--events", type=_non_negative_int, default=1000,
         help="events to generate (0 = no load: restore a snapshot and drain)",
     )
     serve.add_argument(
@@ -395,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         "rate*burst-factor during ON periods (same mean rate)",
     )
     serve.add_argument(
-        "--port", type=int, default=0,
+        "--port", type=_int_at_least(-1, "-1, 0 or a port number"), default=0,
         help="metrics/health HTTP port (0 = ephemeral, printed at start; "
         "-1 = no HTTP endpoint)",
     )
@@ -477,21 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
         "not run against a live sweep",
     )
     return parser
-
-
-def _validate_runtime_options(args: argparse.Namespace) -> None:
-    """Reject nonsensical integer runtime options up front.
-
-    A negative ``--jobs`` / ``--retries`` used to surface as a deep
-    traceback from the executor or supervisor; fail fast instead.  The
-    float options are checked at parse time by their argparse types.
-    """
-    if args.jobs < 0:
-        raise SystemExit(
-            f"--jobs must be non-negative (0 = one per CPU), got {args.jobs}"
-        )
-    if args.retries < 0:
-        raise SystemExit(f"--retries must be non-negative, got {args.retries}")
 
 
 def _cmd_fig1() -> None:
@@ -604,21 +622,11 @@ def _cmd_run(args: argparse.Namespace) -> None:
     print(f"drops           : {result.drop_count()}")
 
 
-def _parse_intensities(raw: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in raw.split(",") if part.strip())
-    except ValueError:
-        raise SystemExit(f"invalid --intensities value: {raw!r}")
-    if not values or any(not 0.0 <= v <= 1.0 for v in values):
-        raise SystemExit("--intensities needs comma-separated values in [0, 1]")
-    return values
-
-
 def _cmd_chaos(args: argparse.Namespace) -> None:
     from repro.experiments.chaos import chaos_sweep, render_chaos_rows
 
     rows = chaos_sweep(
-        intensities=_parse_intensities(args.intensities),
+        intensities=args.intensities,
         arq_modes=(False,) if args.no_arq else (False, True),
         interarrival=args.interarrival,
         n_packets=args.packets,
@@ -837,16 +845,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _validate_serve_options(args: argparse.Namespace) -> None:
-    if args.flows < 1:
-        raise SystemExit(f"--flows must be at least 1, got {args.flows}")
-    if args.events < 0:
-        raise SystemExit(f"--events must be non-negative, got {args.events}")
     if args.burst_factor < 1.0:
         raise SystemExit(
             f"--burst-factor must be at least 1, got {args.burst_factor:g}"
         )
-    if args.port < -1:
-        raise SystemExit(f"--port must be -1, 0 or a port number, got {args.port}")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1141,7 +1143,6 @@ def _main(argv: Sequence[str] | None = None) -> int:
         use_runtime,
     )
 
-    _validate_runtime_options(args)
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     cache = None
     if not args.no_cache:
@@ -1172,7 +1173,7 @@ def _main(argv: Sequence[str] | None = None) -> int:
             listen=args.listen,
         ) as context:
             if args.listen is not None:
-                address = context.executor.address
+                address = context.fabric.address
                 print(
                     f"fabric endpoint listening on {address} "
                     f"(join with: repro worker --connect {address})",
@@ -1214,7 +1215,7 @@ def _main(argv: Sequence[str] | None = None) -> int:
         )
         print(f"telemetry manifest: {manifest_path}")
     if args.listen is not None:
-        print(context.executor.render())
+        print(context.fabric.render())
     if cache is not None:
         print(cache.stats.render())
     if journal_dir is not None:

@@ -1,16 +1,21 @@
-"""Parallel experiment runtime: executors, result cache, batch kernels.
+"""Parallel experiment runtime: supervised sweeps, result cache, batch kernels.
 
 Every figure and ablation funnels its simulations through two seams --
 the :func:`repro.analysis.sweep.sweep`/``replicate`` loop and the
 per-cell simulator invocation.  This package instruments both:
 
-* :mod:`repro.runtime.executors` -- pluggable map strategies: the
-  :class:`SerialExecutor` (the exact legacy loop) and the
-  :class:`ParallelExecutor` (a ``ProcessPoolExecutor`` fan-out with
-  chunking and ordered result reassembly).  Determinism is preserved
-  because every simulation seeds its own named RNG streams from its
-  configuration (:class:`repro.des.rng.RngRegistry`), so results do not
-  depend on which worker ran which cell;
+* :mod:`repro.runtime.supervisor` -- the one sweep driver: every sweep
+  runs on a :class:`Supervisor`, in-process at ``jobs=1`` and on a
+  fork pool of ``min(jobs, pending cells)`` workers otherwise, with
+  per-item wall-clock timeouts, crash detection with suspect probing,
+  bounded retries with exponential backoff, quarantine of repeatedly
+  failing cells (:class:`FailureReport`), and mid-sweep degradation to
+  serial when the pool cannot be rebuilt.  Results are reassembled in
+  item order, and every simulation seeds its own named RNG streams
+  from its configuration (:class:`repro.des.rng.RngRegistry`), so
+  results do not depend on which worker ran which cell;
+* :mod:`repro.runtime.executors` -- the fork-side contract the pool
+  workers run (:class:`WorkerError` for a cell that failed in one);
 * :mod:`repro.runtime.cache` -- a content-addressed on-disk result
   cache keyed by a stable fingerprint of ``(SimulationConfig, seed,
   code-version salt)``: re-running a figure after touching only
@@ -23,11 +28,6 @@ per-cell simulator invocation.  This package instruments both:
   scoring paths (adversary estimation, the Erlang-B recursion); the
   scalar implementations remain in place as the oracle the equivalence
   tests check against;
-* :mod:`repro.runtime.supervisor` -- the fault-tolerance layer: per-
-  item wall-clock timeouts, crash detection with suspect probing,
-  bounded retries with exponential backoff, quarantine of repeatedly
-  failing cells (:class:`FailureReport`), and mid-sweep degradation to
-  serial when the pool cannot be rebuilt;
 * :mod:`repro.runtime.journal` -- the append-only checkpoint journal
   (JSONL of completed cell results, checksummed line-by-line) that
   makes interrupted sweeps resumable via ``--resume``;
@@ -61,12 +61,7 @@ from repro.runtime.context import (
     run_simulation,
     use_runtime,
 )
-from repro.runtime.executors import (
-    Executor,
-    ParallelExecutor,
-    SerialExecutor,
-    WorkerError,
-)
+from repro.runtime.executors import WorkerError
 from repro.runtime.fingerprint import code_salt, stable_fingerprint
 from repro.runtime.journal import (
     CompactionStats,
@@ -130,9 +125,6 @@ __all__ = [
     "current_runtime",
     "run_simulation",
     "use_runtime",
-    "Executor",
-    "ParallelExecutor",
-    "SerialExecutor",
     "WorkerError",
     "code_salt",
     "stable_fingerprint",

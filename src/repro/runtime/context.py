@@ -1,9 +1,9 @@
-"""The ambient runtime context: which executor and cache are active.
+"""The ambient runtime context: worker count, cache, retries, journal.
 
-Experiment drivers never name an executor or a cache; they call
+Experiment drivers never name a worker pool or a cache; they call
 :func:`repro.analysis.sweep.sweep` and :func:`run_simulation`, which
 consult the innermost :func:`use_runtime` context.  The default context
-is the legacy behaviour exactly: serial execution, no cache.
+is serial execution with no cache.
 
 ::
 
@@ -21,12 +21,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from repro.runtime.cache import ResultCache
-from repro.runtime.executors import Executor, ParallelExecutor, SerialExecutor
 from repro.runtime.journal import JournalStats
 from repro.runtime.supervisor import FailureReport, RetryPolicy
 from repro.telemetry import TelemetryAggregate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.fabric import FabricExecutor
     from repro.sim.config import SimulationConfig
     from repro.sim.results import SimulationResult
 
@@ -69,9 +69,12 @@ class RuntimeStats:
 
 @dataclass
 class RuntimeContext:
-    """One executor/cache pairing, active within a ``use_runtime`` block."""
+    """One worker-count/cache pairing, active within a ``use_runtime`` block."""
 
-    executor: Executor = field(default_factory=SerialExecutor)
+    jobs: int = 1
+    """Worker processes a sweep may fan out over (1 = serial)."""
+    fabric: FabricExecutor | None = None
+    """The ``--listen`` TCP worker pool; None keeps the local fork pool."""
     cache: ResultCache | None = None
     stats: RuntimeStats = field(default_factory=RuntimeStats)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -102,29 +105,26 @@ def use_runtime(
     jobs: int = 1,
     cache: ResultCache | None = None,
     cache_dir: str | Path | None = None,
-    chunk_size: int | None = None,
     retry: RetryPolicy | None = None,
     journal_dir: str | Path | None = None,
     resume: bool = False,
     telemetry: bool = False,
     listen: str | None = None,
 ) -> Iterator[RuntimeContext]:
-    """Activate an executor/cache pairing for the enclosed experiments.
+    """Activate a worker-count/cache pairing for the enclosed experiments.
 
     Parameters
     ----------
     jobs:
-        Worker processes; 1 keeps the exact serial loop.
+        Worker processes (>= 1); 1 runs every sweep in-process.
     cache:
         A ready :class:`ResultCache`, or None.
     cache_dir:
         Convenience: build a :class:`ResultCache` rooted here (ignored
         when ``cache`` is given).
-    chunk_size:
-        Forwarded to :class:`ParallelExecutor`.
     retry:
         A :class:`~repro.runtime.supervisor.RetryPolicy`; the default
-        (None) keeps the unsupervised fail-fast behaviour.
+        (None) is one attempt per cell, raising on the first failure.
     journal_dir:
         Checkpoint-journal root.  Sweeps append completed cells here
         so an interrupted run can be resumed; None disables journaling.
@@ -141,19 +141,18 @@ def use_runtime(
         (:mod:`repro.runtime.fabric`): sweeps then run on ``jobs`` local
         workers plus any ``repro worker --connect`` that joins.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if cache is None and cache_dir is not None:
         cache = ResultCache(cache_dir)
-    executor: Executor
+    fabric = None
     if listen is not None:
         from repro.runtime.fabric import FabricExecutor
 
-        executor = FabricExecutor(jobs, listen)
-    elif jobs <= 1:
-        executor = SerialExecutor()
-    else:
-        executor = ParallelExecutor(jobs, chunk_size=chunk_size)
+        fabric = FabricExecutor(jobs, listen)
     context = RuntimeContext(
-        executor=executor,
+        jobs=jobs,
+        fabric=fabric,
         cache=cache,
         retry=retry if retry is not None else RetryPolicy(),
         journal_dir=Path(journal_dir) if journal_dir is not None else None,
@@ -165,7 +164,8 @@ def use_runtime(
         yield context
     finally:
         try:
-            executor.close()
+            if fabric is not None:
+                fabric.close()
         finally:
             _STACK.pop()
 

@@ -5,7 +5,7 @@
 supervisor's -- retries, quarantine, timeouts, the resume journal and
 item-order telemetry replay.  The pieces:
 
-* :class:`FabricExecutor` -- the runtime context's executor under
+* :class:`FabricExecutor` -- the runtime context's ``fabric`` under
   ``--listen``.  It owns one :class:`~repro.runtime.transport.
   FabricEndpoint` for the whole command and hands the supervisor a
   fresh pool per sweep (and per rebuild);
@@ -24,8 +24,8 @@ closures included.  Remote workers load the *grid* over TCP: the items,
 pickled, and the function as an importable ``module:qualname``; a sweep
 whose function has no such name (a closure) is left to the local
 workers.  Results are merged by the supervisor in item order, so a
-fabric run is bit-identical to :class:`~repro.runtime.executors.
-SerialExecutor` (``tests/test_runtime_determinism.py``).
+fabric run is bit-identical to a serial one
+(``tests/test_runtime_determinism.py``).
 """
 
 from __future__ import annotations
@@ -37,13 +37,12 @@ import threading
 import time
 import uuid
 from dataclasses import asdict
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.runtime import executors as _executors
 from repro.runtime import transport as _transport
 from repro.runtime.cache import ResultCache
 from repro.runtime.context import current_runtime, use_runtime
-from repro.runtime.supervisor import RetryPolicy, Supervisor, _sweep_label
 from repro.runtime.transport import (
     TRANSPORT_VERSION,
     FabricEndpoint,
@@ -108,7 +107,7 @@ def resolve_function_ref(ref: str) -> Callable:
 # Coordinator side.
 
 
-class FabricExecutor(_executors.Executor):
+class FabricExecutor:
     """Run every sweep of a command on a :class:`FabricPool`.
 
     Starting it binds ``listen`` (port 0 picks an ephemeral port, read
@@ -128,12 +127,6 @@ class FabricExecutor(_executors.Executor):
         self.address = format_endpoint(host, port)
         # Local workers dial a wildcard listener over loopback.
         self.dial = ({"0.0.0.0": "127.0.0.1", "::": "::1"}.get(host, host), port)
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        supervisor = Supervisor(
-            RetryPolicy(), self.jobs, label=_sweep_label(fn), pool_factory=self.new_pool
-        )
-        return supervisor.run(fn, items)[0]
 
     def new_pool(self) -> "FabricPool":
         return FabricPool(self)

@@ -1,13 +1,12 @@
 """Fault-tolerant sweep supervision: timeouts, retries, quarantine, resume.
 
-:func:`supervised_map` is the seam between
-:func:`repro.analysis.sweep.sweep`/``replicate`` and the executors.  In
-the default context (no retry policy, no journal) it delegates straight
-to the active executor's chunked ``map`` -- zero overhead, the exact
-legacy path.  Once a :class:`RetryPolicy` or a checkpoint journal is
-active it switches to the :class:`Supervisor`, which runs the sweep
-item-by-item so that every cell can be individually timed out, retried
-with exponential backoff, journaled on completion, or quarantined:
+:func:`supervised_map` is the one seam between
+:func:`repro.analysis.sweep.sweep`/``replicate`` and execution: every
+sweep runs on a :class:`Supervisor`, in-process when the context has
+one job (or one pending cell, or no ``fork``), otherwise item-by-item
+on a worker pool, so that every cell can be individually timed out,
+retried with exponential backoff, journaled on completion, or
+quarantined:
 
 * **timeouts** -- each in-flight item carries a wall-clock deadline;
   an expired item's worker pool is killed (a hung worker cannot be
@@ -26,8 +25,9 @@ with exponential backoff, journaled on completion, or quarantined:
 * **graceful degradation** -- if a worker pool cannot be (re)built at
   all, the remaining items fall back to the in-process serial path
   without losing any completed result;
-* **pluggable pools** -- the pool is a local fork pool by default; the
-  executor's ``new_pool`` can supply another with the same
+* **pluggable pools** -- the pool is a local fork pool of at most
+  ``min(jobs, pending cells)`` workers by default; the context's
+  ``fabric.new_pool`` can supply another with the same
   ``submit``/``shutdown`` surface, which is how ``--listen`` runs a
   sweep on the TCP worker pool of :mod:`repro.runtime.fabric` under
   exactly these rules;
@@ -74,9 +74,7 @@ R = TypeVar("R")
 class RetryPolicy:
     """How a supervised sweep treats a failing item.
 
-    The default instance (1 attempt, no timeout, raise on failure) is
-    the *unsupervised* contract: combined with no journal it routes the
-    sweep through the plain executor path untouched.
+    The default instance is 1 attempt, no timeout, raise on failure.
     """
 
     max_attempts: int = 1
@@ -102,10 +100,6 @@ class RetryPolicy:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
         if self.on_failure not in ("raise", "quarantine"):
             raise ValueError(f"on_failure must be 'raise' or 'quarantine', got {self.on_failure!r}")
-
-    @property
-    def is_default(self) -> bool:
-        return self == RetryPolicy()
 
     def delay_before(self, attempts_made: int) -> float:
         """Backoff before the next try after ``attempts_made`` failures."""
@@ -356,6 +350,9 @@ class Supervisor:
         from concurrent.futures import FIRST_COMPLETED, CancelledError
         from concurrent.futures import wait as futures_wait
 
+        # A fork pool starts all its workers at once: fork no more than
+        # there are cells to run.
+        self._max_workers = min(self.jobs, len(pending))
         _executors._ACTIVE = {"fn": fn, "items": items}
         pool: ProcessPoolExecutor | None = None
         inflight: dict = {}
@@ -471,7 +468,7 @@ class Supervisor:
             if self._pool_factory is not None:
                 return self._pool_factory()
             return ProcessPoolExecutor(
-                max_workers=self.jobs,
+                max_workers=self._max_workers,
                 mp_context=multiprocessing.get_context("fork"),
             )
         except Exception:
@@ -505,18 +502,13 @@ def supervised_map(
     context: "RuntimeContext",
     label: str | None = None,
 ) -> list[R | None]:
-    """Route one sweep through supervision if the context asks for it.
+    """Run one sweep on a :class:`Supervisor` under ``context``'s rules.
 
-    The default context (default :class:`RetryPolicy`, no journal
-    directory) falls straight through to ``context.executor.map`` --
-    the chunked, zero-overhead legacy path.  ``label`` disambiguates
-    the sweep's journal identity; it defaults to ``fn``'s qualified
-    name (wrappers with a shared qualname must pass their own).
+    ``label`` disambiguates the sweep's journal identity; it defaults
+    to ``fn``'s qualified name (wrappers with a shared qualname must
+    pass their own).
     """
     items = list(items)
-    if context.retry.is_default and context.journal_dir is None:
-        return context.executor.map(fn, items)
-
     if label is None:
         label = _sweep_label(fn)
     journal: SweepJournal | None = None
@@ -538,10 +530,10 @@ def supervised_map(
 
     supervisor = Supervisor(
         policy=context.retry,
-        jobs=context.executor.jobs,
+        jobs=context.jobs,
         journal=journal,
         label=label,
-        pool_factory=context.executor.new_pool,
+        pool_factory=context.fabric.new_pool if context.fabric is not None else None,
     )
     try:
         results, report = supervisor.run(fn, items, completed=completed)

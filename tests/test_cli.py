@@ -25,7 +25,9 @@ class TestParser:
 
 
 class TestCountAndSeedOptions:
-    """Every verb's ``--packets`` and ``--seed`` are checked at parse
+    """Every verb's ``--packets`` and ``--seed``, the runtime options
+    ``--jobs``/``--retries``, ``serve --flows/--events/--port``,
+    ``run --flow`` and ``chaos --intensities`` are checked at parse
     time: exit code 2, a usage message naming the flag, no traceback."""
 
     @pytest.mark.parametrize(
@@ -37,6 +39,17 @@ class TestCountAndSeedOptions:
               for verb in ("fig2", "fig3", "run", "chaos", "serve")],
             (["fig2", "--packets", "many"], "--packets"),
             (["run", "--seed", "1.5"], "--seed"),
+            *[([verb, "--jobs", "-1"], "--jobs")
+              for verb in ("fig2", "fig3", "run", "chaos", "scenarios")],
+            (["fig2", "--jobs", "two"], "--jobs"),
+            (["fig2", "--retries", "-1"], "--retries"),
+            (["chaos", "--retries", "1.5"], "--retries"),
+            (["serve", "--flows", "0"], "--flows"),
+            (["serve", "--events", "-1"], "--events"),
+            (["serve", "--port", "-2"], "--port"),
+            *[(["run", "--flow", bad], "--flow") for bad in ("0", "5", "7", "-1", "x")],
+            *[(["chaos", "--intensities", bad], "--intensities")
+              for bad in ("0,2", "nope", "-0.5", "nan", "0.5,inf", ",")],
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
@@ -52,7 +65,8 @@ class TestCountAndSeedOptions:
             ["fig2", "--packets", "0"], ["fig3", "--packets", "0"],
             ["fig2", "--seed", "-1"], ["fig2", "--interarrivals", "inf"],
             ["run", "--interarrival", "nan"], ["serve", "--rate", "nan"],
-            ["fig2", "--item-timeout", "nan"],
+            ["fig2", "--item-timeout", "nan"], ["run", "--flow", "0"],
+            ["chaos", "--intensities", "0,2"],
         ],
         ids=" ".join,
     )
@@ -71,8 +85,19 @@ class TestCountAndSeedOptions:
         assert f"argument {argv[1]}:" in proc.stderr
 
     def test_valid_values_parse(self):
-        args = build_parser().parse_args(["fig2", "--packets", "1", "--seed", "0"])
+        parser = build_parser()
+        args = parser.parse_args(["fig2", "--packets", "1", "--seed", "0"])
         assert (args.packets, args.seed) == (1, 0)
+        args = parser.parse_args(["fig2", "--jobs", "0", "--retries", "0"])
+        assert (args.jobs, args.retries) == (0, 0)
+        assert parser.parse_args(["run", "--flow", "4"]).flow == 4
+        assert parser.parse_args(["run"]).flow == 1
+        assert parser.parse_args(["chaos", "--intensities", "0, 0.5,1"]).intensities == (
+            0.0, 0.5, 1.0,
+        )
+        assert parser.parse_args(["chaos"]).intensities == (0.0, 0.25, 0.5, 1.0)
+        args = parser.parse_args(["serve", "--flows", "1", "--events", "0", "--port", "-1"])
+        assert (args.flows, args.events, args.port) == (1, 0, -1)
 
 
 class TestFloatOptions:
@@ -197,10 +222,10 @@ class TestCommands:
 
 class TestJobsOption:
     def test_negative_jobs_rejected_with_existing_message(self, capsys):
-        with pytest.raises(
-            SystemExit, match=r"--jobs must be non-negative \(0 = one per CPU\), got -2"
-        ):
+        with pytest.raises(SystemExit) as exc:
             main(["fig2", "--jobs", "-2"])
+        assert exc.value.code == 2
+        assert "argument --jobs: must be non-negative, got -2" in capsys.readouterr().err
 
     def test_jobs_zero_means_auto(self, monkeypatch, tmp_path, capsys):
         import os
@@ -221,9 +246,13 @@ class TestJobsOption:
         ]) == 0
         assert seen["jobs"] == (os.cpu_count() or 1)
 
-    def test_negative_retries_rejected(self):
-        with pytest.raises(SystemExit, match="--retries must be non-negative"):
+    def test_negative_retries_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["fig2", "--retries", "-1"])
+        assert exc.value.code == 2
+        assert "argument --retries: must be non-negative, got -1" in (
+            capsys.readouterr().err
+        )
 
     def test_negative_item_timeout_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -241,17 +270,19 @@ class TestJobsOption:
             capsys.readouterr().err
         )
 
-    def test_validation_fires_before_any_simulation(self, monkeypatch):
+    def test_validation_fires_before_any_simulation(self, monkeypatch, capsys):
         # The SystemExit must come from option validation, not from a
-        # traceback deep inside the executor: no simulation may start.
+        # traceback deep inside the supervisor: no simulation may start.
         import repro.experiments.fig2 as fig2_module
 
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("simulation ran despite invalid options")
 
         monkeypatch.setattr(fig2_module, "figure2", boom)
-        with pytest.raises(SystemExit, match="--retries must be non-negative"):
+        with pytest.raises(SystemExit) as exc:
             main(["fig2", "--retries", "-3"])
+        assert exc.value.code == 2
+        assert "argument --retries:" in capsys.readouterr().err
 
     def test_resume_requires_cache(self):
         with pytest.raises(SystemExit, match="--resume needs the result cache"):
@@ -481,11 +512,12 @@ class TestChaosCommand:
         assert "chaos sweep" in out
         assert "drop-tail" in out and "rcad" in out
 
-    def test_invalid_intensities_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["chaos", "--intensities", "0,2"])
-        with pytest.raises(SystemExit):
-            main(["chaos", "--intensities", "nope"])
+    def test_invalid_intensities_rejected(self, capsys):
+        for bad in ("0,2", "nope"):
+            with pytest.raises(SystemExit) as exc:
+                main(["chaos", "--intensities", bad])
+            assert exc.value.code == 2
+            assert "argument --intensities:" in capsys.readouterr().err
 
 
 class TestFabricCommands:
@@ -520,15 +552,17 @@ class TestFabricCommands:
         args = build_parser().parse_args(["chaos", "--listen", "127.0.0.1:0"])
         assert args.listen == "127.0.0.1:0"
 
-    def test_validation_fires_before_any_fork(self, monkeypatch):
+    def test_validation_fires_before_any_fork(self, monkeypatch, capsys):
         import repro.runtime.context as context_module
 
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("runtime started despite invalid options")
 
         monkeypatch.setattr(context_module, "use_runtime", boom)
-        with pytest.raises(SystemExit, match="--jobs must be non-negative"):
+        with pytest.raises(SystemExit) as exc:
             main(["fig2", "--listen", "127.0.0.1:0", "--jobs", "-5"])
+        assert exc.value.code == 2
+        assert "argument --jobs:" in capsys.readouterr().err
 
     def test_worker_needs_connect(self, capsys):
         with pytest.raises(SystemExit) as exc:

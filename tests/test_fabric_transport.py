@@ -18,7 +18,6 @@ import pytest
 
 from repro.runtime import executors, supervised_map, transport, use_runtime
 from repro.runtime.chaosnet import ChaosProxy, NetFaultPlan, PartitionWindow
-from repro.runtime.executors import SerialExecutor
 from repro.runtime.fabric import FabricError, FabricWorker, function_ref
 from repro.runtime.transport import (
     Backoff,
@@ -110,7 +109,7 @@ class TestNetworkedWorker:
         futures = arm(_cube, items)
         worker = FabricWorker(TransportClient(("127.0.0.1", endpoint.port), "net0"))
         _run_worker(worker)
-        assert _values(futures) == SerialExecutor().map(_cube, items)
+        assert _values(futures) == [_cube(item) for item in items]
         assert endpoint.cells_by == {"net0": len(items)}
 
     def test_worker_heartbeats_count_as_external_liveness(self, served, monkeypatch):
@@ -157,7 +156,7 @@ class TestNetworkedWorker:
         )
         try:
             _run_worker(FabricWorker(client))
-            assert _values(futures) == SerialExecutor().map(_cube, items)
+            assert _values(futures) == [_cube(item) for item in items]
             # The chaos plan actually fired.
             assert (
                 proxy.stats.frames_dropped
@@ -214,7 +213,7 @@ class TestNetworkedWorker:
 
         client.call = duplicating_call
         _run_worker(FabricWorker(client))
-        assert _values(futures) == SerialExecutor().map(_cube, items)
+        assert _values(futures) == [_cube(item) for item in items]
         deadline = time.monotonic() + 10  # the last replay trails its future
         while endpoint.stats.uploads_deduped < len(items) and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -270,7 +269,7 @@ class TestCoordinatorEndpoint:
             remote = subprocess.Popen(
                 [
                     sys.executable, "-m", "repro", "worker",
-                    "--connect", ctx.executor.address, "--worker-id", "ext0",
+                    "--connect", ctx.fabric.address, "--worker-id", "ext0",
                     "--cache-dir", str(tmp_path / "cache"),
                 ],
                 env={**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), str(REPO)])},
@@ -278,17 +277,17 @@ class TestCoordinatorEndpoint:
                 stderr=subprocess.PIPE,
                 text=True,
             )
-            endpoint = ctx.executor.endpoint
+            endpoint = ctx.fabric.endpoint
             deadline = time.monotonic() + 60
             while not endpoint.stats.connections and time.monotonic() < deadline:
                 time.sleep(0.05)  # the remote is in before the sweep starts
             results = supervised_map(_slow_cube, items, ctx)
         out, err = remote.communicate(timeout=60)
-        assert results == SerialExecutor().map(_cube, items)
+        assert results == [_cube(item) for item in items]
         assert remote.returncode == 0, err
         assert endpoint.cells_by.get("ext0", 0) >= 1
         assert f"computed {endpoint.cells_by['ext0']} cells" in out
-        assert "ext0" in ctx.executor.render()
+        assert "ext0" in ctx.fabric.render()
 
     def test_listen_port_conflict_is_a_fabric_error(self):
         blocker = socket.socket()

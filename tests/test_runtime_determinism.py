@@ -85,7 +85,7 @@ class TestFabricDeterminism:
         with use_runtime(jobs=2, listen="127.0.0.1:0") as ctx:
             results = sweep(cells, fig2_cell)
         assert results == serial  # == on floats, not approx
-        assert ctx.executor.endpoint.stats.uploads == len(cells)
+        assert ctx.fabric.endpoint.stats.uploads == len(cells)
 
     def test_fabric_tables_bit_identical_to_figure2(self):
         from repro.experiments.fig2 import figure2

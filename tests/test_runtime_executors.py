@@ -1,48 +1,81 @@
-"""Executor contract: ordering, chunking, failure propagation."""
+"""The sweep contract under ``use_runtime(jobs=N)``: ordering, closures,
+failure propagation, nesting and serial degradation.
 
+Every sweep runs on the supervisor, in-process at ``jobs=1`` and on its
+fork pool otherwise; these tests drive it through :func:`sweep` as the
+experiment drivers do.
+"""
+
+import concurrent.futures
 import pickle
 
 import pytest
 
 from repro.analysis.sweep import ReplicationError, replicate, sweep
 from repro.runtime import (
-    ParallelExecutor,
-    SerialExecutor,
+    Supervisor,
     WorkerError,
+    current_runtime,
     executors as executors_module,
+    supervised_map,
     use_runtime,
 )
 
 
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail the test if the supervisor builds a worker pool."""
+
+    def explode(self):
+        raise AssertionError("a worker pool must not be built")
+
+    monkeypatch.setattr(Supervisor, "_new_pool", explode)
+
+
 class TestSerialExecutor:
-    def test_preserves_order(self):
-        assert SerialExecutor().map(lambda x: x * x, [3, 1, 2]) == [9, 1, 4]
+    """``jobs=1`` (the default context) runs the sweep in-process."""
+
+    def test_preserves_order(self, no_pool):
+        assert sweep([3, 1, 2], lambda x: x * x) == [9, 1, 4]
 
     def test_empty(self):
-        assert SerialExecutor().map(lambda x: x, []) == []
+        assert supervised_map(lambda x: x, [], current_runtime()) == []
 
 
 class TestParallelExecutor:
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(jobs=0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(jobs=2, chunk_size=0)
+    """``jobs >= 2`` runs the sweep on the supervisor's fork pool."""
 
-    def test_chunksize_heuristic(self):
-        executor = ParallelExecutor(jobs=4)
-        assert executor._chunksize(100) == 7  # ceil(100 / 16)
-        assert executor._chunksize(3) == 1
-        assert ParallelExecutor(jobs=4, chunk_size=5)._chunksize(100) == 5
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            with use_runtime(jobs=0):
+                pass
 
     def test_preserves_order_across_workers(self):
-        result = ParallelExecutor(jobs=4).map(lambda x: x * 10, list(range(23)))
+        with use_runtime(jobs=4):
+            result = sweep(list(range(23)), lambda x: x * 10)
         assert result == [x * 10 for x in range(23)]
 
     def test_closure_state_ships_to_workers(self):
         offset = 1000
-        result = ParallelExecutor(jobs=2).map(lambda x: x + offset, [1, 2, 3])
+        with use_runtime(jobs=2):
+            result = sweep([1, 2, 3], lambda x: x + offset)
         assert result == [1001, 1002, 1003]
+
+    def test_pool_is_capped_at_pending_cells(self, monkeypatch):
+        # A fork pool starts every worker up front, so a 3-cell sweep
+        # under jobs=8 must fork 3 workers, not 8.
+        sizes = []
+        real_pool = concurrent.futures.ProcessPoolExecutor
+
+        class SpyPool(real_pool):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+        with use_runtime(jobs=8):
+            assert sweep([1, 2, 3], lambda x: -x) == [-1, -2, -3]
+        assert sizes == [3]
 
     def test_worker_exception_carries_item_and_traceback(self):
         def explode(x):
@@ -50,32 +83,30 @@ class TestParallelExecutor:
                 raise ValueError("boom on two")
             return x
 
-        with pytest.raises(WorkerError) as excinfo:
-            ParallelExecutor(jobs=2).map(explode, [0, 1, 2, 3])
+        with use_runtime(jobs=2), pytest.raises(WorkerError) as excinfo:
+            sweep([0, 1, 2, 3], explode)
         assert excinfo.value.index == 2
         assert excinfo.value.item == 2
         assert "boom on two" in str(excinfo.value)
         assert "ValueError" in excinfo.value.remote_traceback
 
-    def test_single_item_runs_serially(self):
-        # len(items) <= 1 short-circuits to the serial path: exceptions
-        # surface raw, not wrapped.
+    def test_single_item_runs_serially(self, no_pool):
+        # One pending item takes the serial path: exceptions surface
+        # raw, not wrapped.
         def explode(x):
             raise ValueError("raw")
 
-        with pytest.raises(ValueError):
-            ParallelExecutor(jobs=4).map(explode, [1])
+        with use_runtime(jobs=4), pytest.raises(ValueError):
+            sweep([1], explode)
 
     def test_nested_map_degrades_to_serial(self):
-        outer = ParallelExecutor(jobs=2)
-
         def run_inner(x):
-            # In a forked worker _IN_WORKER is set, so this inner pool
+            # In a forked worker _IN_WORKER is set, so this inner sweep
             # must not fork again.
-            inner = ParallelExecutor(jobs=2).map(lambda y: y + x, [10, 20])
-            return sum(inner)
+            return sum(sweep([10, 20], lambda y: y + x))
 
-        assert outer.map(run_inner, [1, 2]) == [32, 34]
+        with use_runtime(jobs=2):
+            assert sweep([1, 2], run_inner) == [32, 34]
         assert executors_module._ACTIVE is None  # always disarmed after
 
 
@@ -113,38 +144,24 @@ class TestWorkerErrorContract:
 
 
 class TestForkUnavailableDegradation:
-    def test_map_runs_serially_without_fork(self, monkeypatch):
-        # Platform without fork (e.g. Windows/macOS-spawn): the parallel
-        # executor must quietly take the serial path -- same results, no
-        # pool construction at all.
+    def test_map_runs_serially_without_fork(self, monkeypatch, no_pool):
+        # Platform without fork (e.g. Windows/macOS-spawn): the sweep
+        # must quietly take the serial path -- same results, no pool
+        # construction at all.
         monkeypatch.setattr(
             "multiprocessing.get_all_start_methods", lambda: ["spawn"]
         )
+        with use_runtime(jobs=4):
+            assert sweep([1, 2, 3], lambda x: x * 3) == [3, 6, 9]
 
-        def explode_if_pooled(*args, **kwargs):
-            raise AssertionError("ProcessPoolExecutor must not be built")
-
-        monkeypatch.setattr(
-            executors_module, "ProcessPoolExecutor", explode_if_pooled
-        )
-        result = ParallelExecutor(jobs=4).map(lambda x: x * 3, [1, 2, 3])
-        assert result == [3, 6, 9]
-
-    def test_map_runs_serially_inside_worker(self, monkeypatch):
+    def test_map_runs_serially_inside_worker(self, monkeypatch, no_pool):
         # The _IN_WORKER guard: a sweep dispatched from within a forked
         # worker must not open a nested pool (fork bomb).
         monkeypatch.setattr(executors_module, "_IN_WORKER", True)
+        with use_runtime(jobs=4):
+            assert sweep([1, 2, 3], lambda x: x + 1) == [2, 3, 4]
 
-        def explode_if_pooled(*args, **kwargs):
-            raise AssertionError("nested pool must not be built")
-
-        monkeypatch.setattr(
-            executors_module, "ProcessPoolExecutor", explode_if_pooled
-        )
-        result = ParallelExecutor(jobs=4).map(lambda x: x + 1, [1, 2, 3])
-        assert result == [2, 3, 4]
-
-    def test_exceptions_surface_raw_on_serial_fallback(self, monkeypatch):
+    def test_exceptions_surface_raw_on_serial_fallback(self, monkeypatch, no_pool):
         monkeypatch.setattr(
             "multiprocessing.get_all_start_methods", lambda: ["spawn"]
         )
@@ -152,8 +169,8 @@ class TestForkUnavailableDegradation:
         def explode(x):
             raise ValueError("raw, not WorkerError")
 
-        with pytest.raises(ValueError, match="raw"):
-            ParallelExecutor(jobs=4).map(explode, [1, 2])
+        with use_runtime(jobs=4), pytest.raises(ValueError, match="raw"):
+            sweep([1, 2], explode)
 
 
 class TestSweepIntegration:

@@ -23,7 +23,6 @@ from repro.runtime import (
     transport,
     use_runtime,
 )
-from repro.runtime.executors import SerialExecutor
 from repro.runtime.fabric import FabricError, function_ref, resolve_function_ref
 from repro.runtime.transport import (
     FabricEndpoint,
@@ -174,10 +173,10 @@ class TestRunFabric:
         items = list(range(12))
         with use_runtime(jobs=2, listen=LOOPBACK) as ctx:
             results = supervised_map(_square, items, ctx)
-        assert results == SerialExecutor().map(_square, items)
-        stats = ctx.executor.endpoint.stats
+        assert results == [_square(item) for item in items]
+        stats = ctx.fabric.endpoint.stats
         assert stats.uploads == 12
-        assert sum(ctx.executor.endpoint.cells_by.values()) == 12
+        assert sum(ctx.fabric.endpoint.cells_by.values()) == 12
 
     def test_closure_runs_via_fork_inheritance(self):
         offset = 17
@@ -190,7 +189,7 @@ class TestRunFabric:
         # A closure has no importable name, so remote workers are never
         # offered it: only the forked (inheriting) workers ran it.
         assert function_ref(cell) is None
-        assert all(w.startswith("local-") for w in ctx.executor.endpoint.cells_by)
+        assert all(w.startswith("local-") for w in ctx.fabric.endpoint.cells_by)
 
     def test_coordinator_restart_recomputes_nothing(self, tmp_path):
         marks = tmp_path / "marks"
@@ -210,7 +209,7 @@ class TestRunFabric:
             second = supervised_map(cell, [1, 2, 3, 4], ctx, label="re")
         assert second == first == [3, 6, 9, 12]
         assert ctx.journal_stats.resumed == 4
-        assert ctx.executor.endpoint.stats.leases == 0  # no pool at all
+        assert ctx.fabric.endpoint.stats.leases == 0  # no pool at all
         assert len(list(marks.iterdir())) == n_marks  # zero recompute
 
     def test_failed_cell_is_reported_not_lost(self, tmp_path):
@@ -326,7 +325,7 @@ class TestSigkillRecovery:
             killer.join(timeout=60)
         assert not killer.is_alive()
         assert results == [x * 2 for x in items]  # bit-identical, zero lost
-        assert ctx.executor.endpoint.stats.steals >= 1
+        assert ctx.fabric.endpoint.stats.steals >= 1
         assert not ctx.failure_reports  # a steal is not a charged failure
 
 

@@ -16,7 +16,6 @@ from repro.analysis.sweep import sweep
 from repro.runtime import (
     FailureReport,
     RetryPolicy,
-    SerialExecutor,
     Supervisor,
     WorkerError,
     use_runtime,
@@ -28,10 +27,6 @@ QUARANTINE = dict(backoff=0.01, on_failure="quarantine")
 
 
 class TestRetryPolicy:
-    def test_default_is_unsupervised(self):
-        assert RetryPolicy().is_default
-        assert not RetryPolicy(max_attempts=2).is_default
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
@@ -219,26 +214,6 @@ class TestFailureReportRendering:
         assert "2/2 cells quarantined" in text
         assert "cell 0" in text and "cell 1" in text
         assert "[error x1]" in text
-
-    def test_plain_context_bypasses_supervision(self):
-        # The default context must keep the legacy chunked path: the
-        # executor's map is called exactly once with all items.
-        calls = []
-
-        class Spy(SerialExecutor):
-            def map(self, fn, items):
-                calls.append(list(items))
-                return super().map(fn, items)
-
-        from repro.runtime import RuntimeContext
-        from repro.runtime.context import _STACK
-
-        _STACK.append(RuntimeContext(executor=Spy()))
-        try:
-            assert sweep([1, 2, 3], lambda x: x) == [1, 2, 3]
-        finally:
-            _STACK.pop()
-        assert calls == [[1, 2, 3]]
 
 
 class TestInWorkerGuard:
