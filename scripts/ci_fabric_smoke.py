@@ -9,7 +9,7 @@ while it runs:
   SIGSTOP first, so the kill provably lands mid-cell -- and its cell
   must be stolen after one lease TTL and rerun;
 * joins a ``repro worker --connect`` whose connection goes through
-  :class:`repro.runtime.chaosnet.ChaosProxy` with frame drops,
+  :class:`tests.chaosnet.ChaosProxy` with frame drops,
   duplicate delivery and one full partition.
 
 Asserts that the run exits 0 with zero failed cells and at least one
@@ -34,10 +34,11 @@ import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+REPO = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(REPO / "src"), str(REPO)]
 
-from repro.runtime.chaosnet import ChaosProxy, NetFaultPlan, PartitionWindow
 from repro.runtime.transport import TransportClient, parse_endpoint
+from tests.chaosnet import ChaosProxy, NetFaultPlan, PartitionWindow
 
 SWEEP = ["--packets", "300", "--interarrivals", "2,3,4", "--seed", "0"]
 ENV = {**os.environ, "PYTHONPATH": "src"}

@@ -23,12 +23,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.experiments.throughput import paper_workload  # noqa: E402
+from repro.sim.config import SimulationConfig  # noqa: E402
 from repro.sim.simulator import SensorNetworkSimulator  # noqa: E402
 
 
 def profile_mode(mode: str, n_packets: int, top: int) -> None:
-    config = paper_workload(n_packets=n_packets)
+    config = SimulationConfig.paper_baseline(
+        interarrival=2.0, case="rcad", n_packets=n_packets
+    )
     saved = os.environ.get("REPRO_FASTPATH")
     os.environ["REPRO_FASTPATH"] = "0" if mode == "event" else "1"
     try:

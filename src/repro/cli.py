@@ -31,9 +31,7 @@ code.  Commands:
   degradation ladder, Prometheus ``/metrics`` plus ``/healthz`` and
   ``/readyz`` probes, crash-safe snapshots (SIGTERM persists every
   buffered event; the next ``serve --snapshot`` restores them) and
-  clean drain on SIGINT or end of load.  ``serve --bench`` runs the
-  two-phase service benchmark instead and prints the
-  ``BENCH_service.json`` payload.
+  clean drain on SIGINT or end of load.
 
 Common options: ``--packets`` (default 1000, the paper's size; use a
 smaller value for a fast look), ``--seed``, and for ``fig2``/``fig3``
@@ -444,11 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--drain-timeout", type=_positive_float, default=60.0, metavar="SECONDS",
         help="max wall time to wait for buffers to empty on drain",
-    )
-    serve.add_argument(
-        "--bench", action="store_true",
-        help="run the two-phase service benchmark (steady + overload) and "
-        "print the BENCH_service.json payload",
     )
 
     worker = commands.add_parser(
@@ -865,24 +858,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.traffic import MarkovOnOffTraffic, PoissonTraffic
 
     _validate_serve_options(args)
-    if args.bench:
-        from repro.service.bench import run_service_bench
-
-        payload = asyncio.run(
-            run_service_bench(
-                n_events=args.events or 1000,
-                mean_delay=args.mean_delay,
-                seed=args.seed,
-            )
-        )
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        print(text)
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-            print(f"wrote {args.report}")
-        return 0
-
     try:
         config = ServiceConfig(
             shards=args.shards,

@@ -39,10 +39,7 @@ per-cell simulator invocation.  This package instruments both:
 * :mod:`repro.runtime.transport` -- the fabric's wire and server:
   length-prefixed sha256-checksummed frames, an idempotent RPC client
   with capped exponential backoff, and the asyncio endpoint that keeps
-  the leases in memory and judges them in server time;
-* :mod:`repro.runtime.chaosnet` -- an in-process frame-aware chaos
-  proxy (latency, drops, duplicates, mid-frame resets, partitions)
-  that proves the transport's fault tolerance in tests and CI.
+  the leases in memory and judges them in server time.
 """
 
 from importlib import import_module
@@ -78,14 +75,10 @@ from repro.runtime.supervisor import (
     supervised_map,
 )
 
-# The fabric and its TCP/chaos layers pull in asyncio and most of the
+# The fabric and its TCP layer pull in asyncio and most of the
 # stdlib networking stack, which a local sweep never touches; their
 # names resolve on first access (PEP 562) instead of at package import.
 _LAZY = {
-    **dict.fromkeys(
-        ("ChaosProxy", "ChaosStats", "NetFaultPlan", "PartitionWindow"),
-        "chaosnet",
-    ),
     **dict.fromkeys(
         ("FabricError", "FabricExecutor", "FabricPool", "FabricWorker"),
         "fabric",
@@ -150,8 +143,4 @@ __all__ = [
     "TransportError",
     "TransportStats",
     "parse_endpoint",
-    "ChaosProxy",
-    "ChaosStats",
-    "NetFaultPlan",
-    "PartitionWindow",
 ]

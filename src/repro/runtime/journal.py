@@ -2,10 +2,10 @@
 
 Every supervised sweep writes one JSONL file next to the result cache
 (``<cache_dir>/journal/<sweep_id>.jsonl``): one line per completed cell
-carrying the cell's index, its item fingerprint, and the pickled result
-guarded by a SHA-256 checksum.  A re-run with ``--resume`` loads the
-journal, verifies every line, and hands the already-completed cells
-back to :func:`repro.runtime.supervisor.supervised_map` so only the
+carrying the cell's index and the pickled result guarded by a SHA-256
+checksum (:func:`repro.blob.pack_blob`).  A re-run with ``--resume``
+loads the journal, verifies every line, and hands the already-completed
+cells back to :func:`repro.runtime.supervisor.supervised_map` so only the
 missing cells are recomputed.
 
 Failure policy mirrors the result cache: a torn or bit-rotted line
@@ -18,16 +18,14 @@ shape or edited simulator code can never resume stale cells.
 
 from __future__ import annotations
 
-import base64
-import hashlib
 import json
 import os
-import pickle
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
 
+from repro.blob import pack_blob, unpack_blob
 from repro.runtime.fingerprint import code_salt, stable_fingerprint
 
 __all__ = [
@@ -35,48 +33,12 @@ __all__ = [
     "JournalStats",
     "SweepJournal",
     "sweep_fingerprint",
-    "encode_cell_entry",
-    "decode_cell_entry",
     "CompactionStats",
     "compact_journal",
 ]
 
 #: Bump to orphan every existing journal file (format changes).
 JOURNAL_VERSION = 1
-
-
-def encode_cell_entry(index: int, value: object) -> dict | None:
-    """One completed cell as a checksummed JSONL-ready record.
-
-    Returns None when ``value`` cannot be pickled (the cell simply is
-    not resumable).
-    """
-    try:
-        data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        return None
-    return {
-        "kind": "cell",
-        "index": int(index),
-        "sha": hashlib.sha256(data).hexdigest(),
-        "data": base64.b64encode(data).decode("ascii"),
-    }
-
-
-def decode_cell_entry(entry: dict, n_items: int) -> tuple[int, object]:
-    """Verify and unpickle one ``kind == "cell"`` record.
-
-    Raises on any corruption (bad index, checksum mismatch, unpicklable
-    payload); callers count-and-skip, mirroring the cache's
-    corruption-is-a-miss policy.
-    """
-    index = int(entry["index"])
-    if not 0 <= index < n_items:
-        raise ValueError(f"index {index} out of range")
-    data = base64.b64decode(entry["data"], validate=True)
-    if hashlib.sha256(data).hexdigest() != entry["sha"]:
-        raise ValueError("checksum mismatch")
-    return index, pickle.loads(data)
 
 
 def sweep_fingerprint(label: str, items: list) -> str:
@@ -161,8 +123,10 @@ class SweepJournal:
                 entry = json.loads(line)
                 if entry.get("kind") != "cell":
                     continue  # header / event / future record kinds
-                index, value = decode_cell_entry(entry, self.n_items)
-                results[index] = value
+                index = int(entry["index"])
+                if not 0 <= index < self.n_items:
+                    raise ValueError(f"index {index} out of range")
+                results[index] = unpack_blob(entry)
             except Exception:
                 self.corrupt_lines += 1
         return results
@@ -187,11 +151,12 @@ class SweepJournal:
     def record(self, index: int, value: object) -> None:
         """Append one completed cell; flushed line-by-line so a crash
         loses at most the cell being written."""
-        entry = encode_cell_entry(index, value)
-        if entry is None:
+        try:
+            blob = pack_blob(value)
+        except Exception:
             return  # unpicklable result: cell simply is not resumable
         handle = self._open()
-        handle.write(json.dumps(entry) + "\n")
+        handle.write(json.dumps({"kind": "cell", "index": int(index), **blob}) + "\n")
         handle.flush()
 
     def close(self) -> None:

@@ -9,7 +9,7 @@ with ``--listen HOST:PORT``.  This module is its wire and its server.
 SHA-256 of the canonical payload encoding (sorted keys, compact
 separators): a torn or bit-flipped frame is detected and retransmitted,
 never acted on.  Cell results and grid items travel inside payloads as
-base64 pickles with their own SHA-256 (:func:`pack_blob`).
+base64 pickles with their own SHA-256 (:func:`repro.blob.pack_blob`).
 
 **Delivery.**  Every RPC is idempotent, so :class:`TransportClient`
 retransmits blindly after any transport failure: ``acquire`` hands a
@@ -33,10 +33,8 @@ as a worker crash.
 from __future__ import annotations
 
 import asyncio
-import base64
 import hashlib
 import json
-import pickle
 import random
 import socket
 import struct
@@ -46,6 +44,9 @@ from collections import deque
 from concurrent.futures import Future
 from dataclasses import asdict, dataclass
 from typing import Sequence
+
+from repro.blob import pack_blob
+from repro.blob import unpack_blob as _unpack_blob
 
 __all__ = [
     "TRANSPORT_VERSION",
@@ -197,21 +198,13 @@ def recv_frame(sock: socket.socket) -> dict:
     return decode_frame(_recv_exact(sock, length))
 
 
-def pack_blob(value: object) -> dict:
-    """``value`` pickled for a JSON payload: ``{"data", "sha"}``."""
-    data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    return {
-        "data": base64.b64encode(data).decode("ascii"),
-        "sha": hashlib.sha256(data).hexdigest(),
-    }
-
-
 def unpack_blob(blob: dict) -> object:
-    """Inverse of :func:`pack_blob`; a checksum mismatch raises."""
-    data = base64.b64decode(blob["data"], validate=True)
-    if hashlib.sha256(data).hexdigest() != blob.get("sha"):
-        raise TransportError("blob checksum mismatch")
-    return pickle.loads(data)
+    """:func:`repro.blob.unpack_blob` for a wire payload: a checksum
+    mismatch raises :class:`TransportError`."""
+    try:
+        return _unpack_blob(blob)
+    except ValueError as exc:
+        raise TransportError(str(exc)) from None
 
 
 # ----------------------------------------------------------------------

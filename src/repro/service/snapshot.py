@@ -8,7 +8,8 @@ because of a crash).
 
 The file reuses the checkpoint journal's framing
 (:mod:`repro.runtime.journal`): JSON lines, one header plus one line
-per entry, each entry's pickled body guarded by a SHA-256 checksum.
+per entry, each entry's pickled body guarded by a SHA-256 checksum
+(:func:`repro.blob.pack_blob`).
 Unlike the journal, the snapshot is written *atomically*: the lines go
 to a temp file that is fsynced and then ``os.replace``\\ d over the
 target, so a crash during snapshotting leaves the previous snapshot
@@ -18,14 +19,13 @@ skipped, mirroring the journal's failure policy.
 
 from __future__ import annotations
 
-import base64
-import hashlib
 import json
 import os
-import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
+
+from repro.blob import pack_blob, unpack_blob
 
 __all__ = ["SNAPSHOT_VERSION", "SnapshotEntry", "write_snapshot", "load_snapshot"]
 
@@ -66,7 +66,7 @@ def write_snapshot(
         }
         handle.write(json.dumps(header) + "\n")
         for entry in entries:
-            data = pickle.dumps(
+            blob = pack_blob(
                 (
                     entry.flow_id,
                     entry.seq,
@@ -74,15 +74,9 @@ def write_snapshot(
                     entry.arrival_time,
                     entry.release_time,
                     entry.admit_seq,
-                ),
-                protocol=pickle.HIGHEST_PROTOCOL,
+                )
             )
-            record = {
-                "kind": "entry",
-                "sha": hashlib.sha256(data).hexdigest(),
-                "data": base64.b64encode(data).decode("ascii"),
-            }
-            handle.write(json.dumps(record) + "\n")
+            handle.write(json.dumps({"kind": "entry", **blob}) + "\n")
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
@@ -114,11 +108,8 @@ def load_snapshot(path: str | Path) -> tuple[list[SnapshotEntry], int]:
             record = json.loads(line)
             if record.get("kind") != "entry":
                 continue  # header / future record kinds
-            data = base64.b64decode(record["data"], validate=True)
-            if hashlib.sha256(data).hexdigest() != record["sha"]:
-                raise ValueError("checksum mismatch")
             flow_id, seq, payload, arrival_time, release_time, admit_seq = (
-                pickle.loads(data)
+                unpack_blob(record)
             )
             entries.append(
                 SnapshotEntry(

@@ -6,22 +6,24 @@ FabricEndpoint through it and assert both the injected failures and
 the client's recovery.
 """
 
+import socket
 import sys
 import threading
 import time
 
 import pytest
 
-from repro.runtime.chaosnet import (
-    ChaosProxy,
-    ChaosStats,
-    NetFaultPlan,
-    PartitionWindow,
-)
 from repro.runtime.transport import (
     Backoff,
     FabricEndpoint,
     TransportClient,
+)
+
+from .chaosnet import (
+    ChaosProxy,
+    ChaosStats,
+    NetFaultPlan,
+    PartitionWindow,
 )
 
 
@@ -253,6 +255,23 @@ class TestChaosProxy:
         finally:
             client.close()
             proxy.stop()
+
+    def test_stop_wakes_pumps_blocked_in_recv(self, served_grid):
+        # A connected client that sends nothing leaves both pumps of its
+        # link blocked in recv: stop() must wake them, not wait them out.
+        proxy = ChaosProxy("127.0.0.1", served_grid.port)
+        port = proxy.start()
+        with socket.create_connection(("127.0.0.1", port)):
+            deadline = time.monotonic() + 5.0
+            while len(proxy._threads) < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            pumps = proxy._threads[1:]
+            assert len(pumps) == 2 and all(pump.is_alive() for pump in pumps)
+            time.sleep(0.1)  # let both pumps enter recv
+            started = time.monotonic()
+            proxy.stop()
+            assert time.monotonic() - started < 1.0
+            assert not any(pump.is_alive() for pump in pumps)
 
     def test_deterministic_across_runs(self, served_grid):
         """The same plan seed injects the same faults on a replay."""

@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro.runtime import executors, supervised_map, transport, use_runtime
-from repro.runtime.chaosnet import ChaosProxy, NetFaultPlan, PartitionWindow
 from repro.runtime.fabric import FabricError, FabricWorker, function_ref
 from repro.runtime.transport import (
     Backoff,
@@ -26,6 +25,8 @@ from repro.runtime.transport import (
     TransportDown,
     pack_blob,
 )
+
+from .chaosnet import ChaosProxy, NetFaultPlan, PartitionWindow
 
 REPO = Path(__file__).resolve().parents[1]
 

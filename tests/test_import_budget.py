@@ -5,7 +5,7 @@ importing it must not load them either: each costs more start-up time
 than the figure's own simulations at reduced scale.  Likewise a serial
 run never builds a process pool, so it must not load ``multiprocessing``.
 The heavy imports live inside the functions that use them, and
-``repro.runtime`` resolves its fabric/transport/chaos names lazily.  See DESIGN.md, "Import
+``repro.runtime`` resolves its fabric/transport names lazily.  See DESIGN.md, "Import
 discipline".
 """
 
@@ -31,7 +31,6 @@ FORBIDDEN = (
     "concurrent.futures.process",
     "repro.runtime.fabric",
     "repro.runtime.transport",
-    "repro.runtime.chaosnet",
 )
 
 _PROBE = """
@@ -116,12 +115,12 @@ class TestLazyRuntimeNames:
         namespace: dict = {}
         exec("from repro.runtime import *", namespace)
         assert set(repro.runtime.__all__) <= set(namespace)
-        assert namespace["ChaosProxy"] is repro.runtime.chaosnet.ChaosProxy
+        assert namespace["TransportClient"] is repro.runtime.transport.TransportClient
         assert namespace["FabricExecutor"] is repro.runtime.fabric.FabricExecutor
 
     def test_dir_lists_lazy_names(self):
         listing = dir(repro.runtime)
-        for name in ("ChaosProxy", "FabricPool", "TransportClient", "FabricExecutor"):
+        for name in ("FabricPool", "TransportClient", "FabricExecutor"):
             assert name in listing
 
     def test_unknown_name_raises_attribute_error(self):
