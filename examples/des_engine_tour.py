@@ -2,16 +2,14 @@
 """A tour of the discrete-event engine: an M/M/1 queue from scratch.
 
 Everything in this repository runs on ``repro.des``, a small
-deterministic DES engine with two programming styles:
+deterministic DES engine.  Components schedule callbacks on it
+(``sim.schedule_after(delay, callback, *args)``); the WSN simulator,
+the link ARQ and the queueing validators all work this way, and so
+does this demo.
 
-* callback scheduling (``sim.schedule_after``) -- what the WSN
-  simulator uses internally, and
-* generator processes (``yield Timeout(...)``) -- SimPy-style
-  coroutines, shown here.
-
-The demo builds the textbook M/M/1 queue as two cooperating processes
-and checks Little's law and the closed-form mean waiting time
-``W = 1 / (mu - lambda)`` against the simulation.
+The demo builds the textbook M/M/1 queue from two callbacks, an
+arrival and a departure, and checks Little's law and the closed-form
+mean waiting time ``W = 1 / (mu - lambda)`` against the simulation.
 
 Usage::
 
@@ -19,56 +17,52 @@ Usage::
 """
 
 import sys
+from collections import deque
 
-from repro.des import Process, RngRegistry, Simulator, Timeout
+from repro.des import RngRegistry, Simulator
 
 
 def run_mm1(arrival_rate: float, service_rate: float, horizon: float, seed: int):
-    """Simulate M/M/1 with generator processes; return summary stats."""
+    """Simulate M/M/1 with scheduled callbacks; return summary stats."""
     sim = Simulator()
     rng = RngRegistry(seed)
     arrivals_rng = rng.stream("arrivals")
     service_rng = rng.stream("service")
 
-    queue: list[float] = []          # arrival times of waiting customers
-    server_busy = [False]
+    # Arrival times of the customers in the system; the head is in service.
+    in_system: deque[float] = deque()
     sojourns: list[float] = []
     # Track E[N] by integrating the sample path.
     tracker = {"last": 0.0, "integral": 0.0}
 
-    def in_system() -> int:
-        return len(queue) + (1 if server_busy[0] else 0)
-
-    def update_integral():
+    def update_integral() -> None:
         now = sim.now
-        tracker["integral"] += in_system() * (now - tracker["last"])
+        tracker["integral"] += len(in_system) * (now - tracker["last"])
         tracker["last"] = now
 
-    def server():
-        while True:
-            if not queue:
-                return  # server process re-spawned on next arrival
-            update_integral()
-            arrived_at = queue.pop(0)
-            server_busy[0] = True
-            yield Timeout(float(service_rng.exponential(1.0 / service_rate)))
-            update_integral()
-            server_busy[0] = False
-            sojourns.append(sim.now - arrived_at)
+    def start_service() -> None:
+        sim.schedule_after(float(service_rng.exponential(1.0 / service_rate)), depart)
 
-    def arrivals():
-        while sim.now < horizon:
-            yield Timeout(float(arrivals_rng.exponential(1.0 / arrival_rate)))
-            if sim.now >= horizon:
-                return
-            update_integral()
-            queue.append(sim.now)
-            if not server_busy[0]:
-                Process(sim, server())
+    def schedule_arrival() -> None:
+        when = sim.now + float(arrivals_rng.exponential(1.0 / arrival_rate))
+        if when < horizon:
+            sim.schedule(when, arrive)
 
-    Process(sim, arrivals())
+    def arrive() -> None:
+        update_integral()
+        in_system.append(sim.now)
+        if len(in_system) == 1:
+            start_service()
+        schedule_arrival()
+
+    def depart() -> None:
+        update_integral()
+        sojourns.append(sim.now - in_system.popleft())
+        if in_system:
+            start_service()
+
+    schedule_arrival()
     sim.run()
-    update_integral()
     elapsed = tracker["last"]
     return {
         "completed": len(sojourns),

@@ -130,7 +130,12 @@ def attempt(work: Path) -> tuple[str, Path] | None:
 
 
 def main() -> int:
-    work = Path(tempfile.mkdtemp(prefix="repro-fabric-smoke-"))
+    # Removed on pass and fail; each attempt and the reference get a subdirectory.
+    with tempfile.TemporaryDirectory(prefix="repro-fabric-smoke-") as work:
+        return fabric_matches_serial(Path(work))
+
+
+def fabric_matches_serial(work: Path) -> int:
     for number in range(1, ATTEMPTS + 1):
         result = attempt(work / f"attempt-{number}")
         if result is not None:

@@ -102,8 +102,14 @@ def interrupted_run(cache_dir: str) -> int | None:
 
 
 def main() -> int:
+    # One directory holds every attempt and is removed on pass and fail.
+    with tempfile.TemporaryDirectory(prefix="repro-resume-smoke-") as root:
+        return interrupt_and_resume(Path(root))
+
+
+def interrupt_and_resume(root: Path) -> int:
     for number in range(1, ATTEMPTS + 1):
-        cache_dir = tempfile.mkdtemp(prefix="repro-resume-smoke-")
+        cache_dir = str(root / f"attempt-{number}")
         completed_cells = interrupted_run(cache_dir)
         if completed_cells is not None:
             break

@@ -91,8 +91,9 @@ def _int_at_least(minimum: int, requirement: str):
     return parse
 
 
-#: the types of every verb's counts (``--packets``, ``--flows``) and of
-#: ``--seed``, ``--jobs``, ``--retries`` and ``serve --events``
+#: the types of every verb's counts (``--packets``, ``--flows``, the
+#: ``serve`` sizes), of ``--seed``, ``--jobs``, ``--retries``, ``serve
+#: --events`` and ``cache prune --max-bytes``
 _positive_int = _int_at_least(1, "at least 1")
 _non_negative_int = _int_at_least(0, "non-negative")
 
@@ -119,6 +120,14 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must be a finite positive number, got {text!r}"
         )
+    return value
+
+
+def _float_at_least_one(text: str) -> float:
+    """argparse type: a finite number of at least 1."""
+    value = _positive_float(text)
+    if value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
     return value
 
 
@@ -390,13 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
         "closed-loop load generator",
     )
     serve.add_argument(
-        "--shards", type=int, default=4, help="independent buffer shards"
+        "--shards", type=_positive_int, default=4, help="independent buffer shards"
     )
     serve.add_argument(
-        "--capacity", type=int, default=64, help="buffer slots per shard"
+        "--capacity", type=_positive_int, default=64, help="buffer slots per shard"
     )
     serve.add_argument(
-        "--max-buffered", type=int, default=256,
+        "--max-buffered", type=_positive_int, default=256,
         help="global bound on buffered events; beyond it arrivals are shed",
     )
     serve.add_argument(
@@ -421,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate rate*duration events instead of --events",
     )
     serve.add_argument(
-        "--burst-factor", type=_positive_float, default=1.0,
+        "--burst-factor", type=_float_at_least_one, default=1.0,
         help="1 = steady Poisson arrivals; >1 = Markov on/off bursts at "
         "rate*burst-factor during ON periods (same mean rate)",
     )
@@ -493,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and/or compact the checkpoint journals",
     )
     prune.add_argument(
-        "--max-bytes", type=int, default=None, metavar="N",
+        "--max-bytes", type=_non_negative_int, default=None, metavar="N",
         help="target size of the entry store in bytes",
     )
     prune.add_argument(
@@ -837,13 +846,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _validate_serve_options(args: argparse.Namespace) -> None:
-    if args.burst_factor < 1.0:
-        raise SystemExit(
-            f"--burst-factor must be at least 1, got {args.burst_factor:g}"
-        )
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import json
@@ -857,7 +859,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     from repro.traffic import MarkovOnOffTraffic, PoissonTraffic
 
-    _validate_serve_options(args)
     try:
         config = ServiceConfig(
             shards=args.shards,
@@ -1023,10 +1024,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 "prune needs --max-bytes and/or --compact-journals"
             )
         if args.max_bytes is not None:
-            if args.max_bytes < 0:
-                raise SystemExit(
-                    f"--max-bytes must be non-negative, got {args.max_bytes}"
-                )
             removed, reclaimed = cache.prune(args.max_bytes)
             remaining = cache.disk_stats()
             print(

@@ -7,11 +7,3 @@ class DesError(Exception):
 
 class SchedulingInPastError(DesError):
     """An event was scheduled strictly before the current simulation time."""
-
-
-class SimulationFinished(DesError):
-    """Raised inside a process that is resumed after the simulation ended."""
-
-
-class EventCancelled(DesError):
-    """Raised inside a process whose pending event was cancelled."""

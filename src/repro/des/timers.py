@@ -1,18 +1,12 @@
 """Timer utilities layered on the event scheduler.
 
-Protocol state machines (link ARQ, keep-alives, watchdogs) all need
-the same two shapes of timer, so they live here once:
-
-* :class:`BackoffTimer` -- a restartable one-shot timer whose timeout
-  grows by a multiplicative backoff factor on every restart; the
-  stop-and-wait ARQ arms one per hop transfer;
-* :class:`PeriodicTimer` -- a fixed-interval repeating timer with
-  clean cancellation, for housekeeping processes.
-
-Both are thin wrappers over :class:`repro.des.engine.Simulator`
-scheduling: they own exactly one pending :class:`EventHandle` at a
-time, so cancelling the timer cancels the underlying event and never
-leaks a stale callback into the heap.
+:class:`BackoffTimer` is a restartable one-shot timer whose timeout
+grows by a multiplicative backoff factor on every restart; the
+stop-and-wait ARQ arms one per hop transfer.  It is a thin wrapper
+over :class:`repro.des.engine.Simulator` scheduling: it owns exactly
+one pending :class:`EventHandle` at a time, so cancelling the timer
+cancels the underlying event and never leaks a stale callback into
+the heap.
 """
 
 from __future__ import annotations
@@ -21,7 +15,7 @@ from typing import Any, Callable
 
 from repro.des.engine import EventHandle, Simulator
 
-__all__ = ["BackoffTimer", "PeriodicTimer"]
+__all__ = ["BackoffTimer"]
 
 
 class BackoffTimer:
@@ -98,54 +92,3 @@ class BackoffTimer:
         self.cancel()
         self._armings = 0
 
-
-class PeriodicTimer:
-    """A repeating timer firing every ``interval`` until stopped.
-
-    The callback runs once per period; stopping from *inside* the
-    callback is supported (the next arming is simply never scheduled).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        interval: float,
-        callback: Callable[..., None],
-        *args: Any,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        self._sim = sim
-        self._interval = float(interval)
-        self._callback = callback
-        self._args = args
-        self._handle: EventHandle | None = None
-        self._running = False
-        self.fired = 0
-
-    @property
-    def running(self) -> bool:
-        """True between :meth:`start` and :meth:`stop`."""
-        return self._running
-
-    def start(self) -> None:
-        """Begin firing ``interval`` from now; idempotent."""
-        if self._running:
-            return
-        self._running = True
-        self._handle = self._sim.schedule_after(self._interval, self._tick)
-
-    def stop(self) -> None:
-        """Stop firing; the pending arming is cancelled."""
-        self._running = False
-        if self._handle is not None and self._handle.pending:
-            self._handle.cancel()
-        self._handle = None
-
-    def _tick(self) -> None:
-        if not self._running:  # stopped while the event was in flight
-            return
-        self.fired += 1
-        self._callback(*self._args)
-        if self._running:
-            self._handle = self._sim.schedule_after(self._interval, self._tick)

@@ -47,8 +47,8 @@ from repro.experiments.common import (
 )
 from repro.net.routing import greedy_grid_tree
 from repro.net.topology import paper_topology
+from repro.runtime.context import run_simulation
 from repro.sim.config import BufferSpec, FlowSpec, SimulationConfig
-from repro.sim.simulator import SensorNetworkSimulator
 from repro.traffic.generators import PeriodicTraffic
 
 __all__ = [
@@ -101,7 +101,7 @@ def victim_policy_ablation(
             victim_policy=policy,
             seed=seed,
         )
-        result = SensorNetworkSimulator(config).run()
+        result = run_simulation(config)
         metrics = score_flow(result, build_adversary("baseline", "rcad"), flow_id)
         records = result.flow_records(flow_id)
         hop_count = records[0].hop_count
@@ -197,7 +197,7 @@ def delay_allocation_ablation(
             buffers=BufferSpec(kind="infinite"),
             seed=seed,
         )
-        result = SensorNetworkSimulator(config).run()
+        result = run_simulation(config)
         source = sources[flow_id - 1]
         # Fair adversary: knows this plan's mean total path delay.
         mean_path_delay = plan.mean_path_delay(tree, source)
@@ -258,7 +258,7 @@ def drop_vs_preempt_ablation(
                 config.buffers = BufferSpec(
                     kind="drop-tail", capacity=PAPER_BUFFER_CAPACITY
                 )
-            result = SensorNetworkSimulator(config).run()
+            result = run_simulation(config)
             metrics = score_flow(result, build_adversary("baseline", "rcad"), flow_id)
             results[kind] = (result, metrics)
         rcad_result, rcad_metrics = results["rcad"]

@@ -33,8 +33,8 @@ from repro.experiments.common import (
 )
 from repro.net.routing import greedy_grid_tree
 from repro.net.topology import paper_topology
+from repro.runtime.context import run_simulation
 from repro.sim.config import BufferSpec, FlowSpec, SimulationConfig
-from repro.sim.simulator import SensorNetworkSimulator
 from repro.tracking.adversary import TrackingAdversary, mean_localization_error
 from repro.tracking.detection import detect_passes
 from repro.tracking.trajectory import waypoint_trajectory
@@ -136,7 +136,7 @@ def asset_tracking_experiment(
                 buffers=buffers,
                 seed=seed,
             )
-            result = SensorNetworkSimulator(config).run()
+            result = run_simulation(config)
 
             adversary = TrackingAdversary(estimator, deployment.positions)
             estimate = adversary.reconstruct(result.observations)

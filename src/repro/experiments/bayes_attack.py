@@ -25,8 +25,8 @@ from repro.experiments.common import (
 )
 from repro.net.routing import greedy_grid_tree
 from repro.net.topology import paper_topology
+from repro.runtime.context import run_simulation
 from repro.sim.config import BufferSpec, FlowSpec, SimulationConfig
-from repro.sim.simulator import SensorNetworkSimulator
 from repro.traffic.generators import TraceTraffic
 
 __all__ = ["BayesAttackRow", "bayes_attack_experiment"]
@@ -95,7 +95,7 @@ def bayes_attack_experiment(
             buffers=buffers,
             seed=seed,
         )
-        result = SensorNetworkSimulator(config).run()
+        result = run_simulation(config)
         knowledge = FlowKnowledge(
             transmission_delay=PAPER_TX_DELAY,
             mean_delay_per_hop=mean_delay,

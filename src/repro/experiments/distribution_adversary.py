@@ -38,8 +38,8 @@ from repro.experiments.common import (
 from repro.infotheory.deconvolution import em_deconvolve, total_variation_distance
 from repro.net.routing import greedy_grid_tree
 from repro.net.topology import paper_topology
+from repro.runtime.context import run_simulation
 from repro.sim.config import BufferSpec, FlowSpec, SimulationConfig
-from repro.sim.simulator import SensorNetworkSimulator
 from repro.traffic.generators import TraceTraffic
 
 __all__ = ["DistributionAdversaryRow", "distribution_adversary_experiment"]
@@ -112,7 +112,7 @@ def distribution_adversary_experiment(
             buffers=buffers,
             seed=seed,
         )
-        result = SensorNetworkSimulator(config).run()
+        result = run_simulation(config)
         arrivals = np.array([o.arrival_time for o in result.observations])
 
         # The adversary's delay model: h*tau transmission shift plus,

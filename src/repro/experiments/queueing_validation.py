@@ -25,8 +25,8 @@ from repro.queueing.erlang import erlang_b
 from repro.queueing.mminf import MMInfinityQueue
 from repro.queueing.simq import SimulatedMMInfinity, SimulatedMMkk
 from repro.queueing.tandem import QueueTreeModel
+from repro.runtime.context import run_simulation
 from repro.sim.config import BufferSpec, FlowSpec, SimulationConfig
-from repro.sim.simulator import SensorNetworkSimulator
 from repro.traffic.generators import PoissonTraffic
 
 __all__ = [
@@ -134,7 +134,7 @@ def tree_occupancy_validation(
         buffers=BufferSpec(kind="infinite"),
         seed=seed,
     )
-    result = SensorNetworkSimulator(config).run()
+    result = run_simulation(config)
 
     model = QueueTreeModel(
         parent=dict(tree.parent),

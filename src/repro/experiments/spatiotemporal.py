@@ -36,8 +36,8 @@ from repro.location.backtrace import BacktracingAdversary
 from repro.location.policies import PhantomRoutingPolicy, TreeRoutingPolicy
 from repro.net.routing import greedy_grid_tree
 from repro.net.topology import paper_topology
+from repro.runtime.context import run_simulation
 from repro.sim.config import BufferSpec, FlowSpec, SimulationConfig
-from repro.sim.simulator import SensorNetworkSimulator
 from repro.traffic.generators import PeriodicTraffic
 
 __all__ = [
@@ -110,7 +110,7 @@ def spatiotemporal_experiment(
                 record_transmissions=True,
                 seed=seed,
             )
-            result = SensorNetworkSimulator(config).run()
+            result = run_simulation(config)
 
             timing_adversary = BaselineAdversary(
                 FlowKnowledge(
@@ -202,7 +202,7 @@ def safety_period_sweep(
                 record_transmissions=True,
                 seed=base_seed + replication,
             )
-            result = SensorNetworkSimulator(config).run()
+            result = run_simulation(config)
             latencies.append(result.mean_latency())
             outcome = BacktracingAdversary(sink=deployment.sink).hunt(
                 result.transmissions, target_source=source

@@ -18,14 +18,6 @@ the artificial buffering delay.  This subpackage implements:
   (:mod:`repro.infotheory.mmse`).
 """
 
-from repro.infotheory.batch import (
-    erlang_entropy_batch,
-    exponential_entropy_batch,
-    gaussian_entropy_batch,
-    gaussian_mutual_information_batch,
-    mmse_lower_bound_from_mi_batch,
-    uniform_entropy_batch,
-)
 from repro.infotheory.bounds import (
     bits_through_queues_bound,
     cumulative_bits_through_queues_bound,
@@ -64,10 +56,4 @@ __all__ = [
     "gaussian_mi_estimate",
     "mmse_lower_bound_from_mi",
     "mse_of_estimator",
-    "exponential_entropy_batch",
-    "uniform_entropy_batch",
-    "gaussian_entropy_batch",
-    "erlang_entropy_batch",
-    "gaussian_mutual_information_batch",
-    "mmse_lower_bound_from_mi_batch",
 ]

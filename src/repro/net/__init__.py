@@ -17,12 +17,6 @@ from repro.net.routing import (
     greedy_grid_tree,
     shortest_path_tree,
 )
-from repro.net.serialization import (
-    deployment_from_json,
-    deployment_to_json,
-    routing_tree_from_json,
-    routing_tree_to_json,
-)
 from repro.net.topology import (
     Deployment,
     grid_deployment,
@@ -47,8 +41,4 @@ __all__ = [
     "line_deployment",
     "random_geometric_deployment",
     "paper_topology",
-    "deployment_to_json",
-    "deployment_from_json",
-    "routing_tree_to_json",
-    "routing_tree_from_json",
 ]

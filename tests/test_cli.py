@@ -26,7 +26,8 @@ class TestParser:
 
 class TestCountAndSeedOptions:
     """Every verb's ``--packets`` and ``--seed``, the runtime options
-    ``--jobs``/``--retries``, ``serve --flows/--events/--port``,
+    ``--jobs``/``--retries``, ``serve --flows/--events/--port``, the
+    ``serve`` sizes and ``--burst-factor``, ``cache prune --max-bytes``,
     ``run --flow`` and ``chaos --intensities`` are checked at parse
     time: exit code 2, a usage message naming the flag, no traceback."""
 
@@ -47,6 +48,12 @@ class TestCountAndSeedOptions:
             (["serve", "--flows", "0"], "--flows"),
             (["serve", "--events", "-1"], "--events"),
             (["serve", "--port", "-2"], "--port"),
+            (["serve", "--shards", "0"], "--shards"),
+            (["serve", "--capacity", "-3"], "--capacity"),
+            (["serve", "--max-buffered", "0"], "--max-buffered"),
+            *[(["serve", "--burst-factor", bad], "--burst-factor")
+              for bad in ("0.5", "0.999", "-2")],
+            (["cache", "prune", "--max-bytes", "-1"], "--max-bytes"),
             *[(["run", "--flow", bad], "--flow") for bad in ("0", "5", "7", "-1", "x")],
             *[(["chaos", "--intensities", bad], "--intensities")
               for bad in ("0,2", "nope", "-0.5", "nan", "0.5,inf", ",")],
@@ -434,13 +441,6 @@ class TestCacheSubcommand:
             SystemExit, match="--max-bytes and/or --compact-journals"
         ):
             main(["cache", "--cache-dir", str(tmp_path), "prune"])
-
-    def test_prune_negative_max_bytes_rejected(self, tmp_path):
-        with pytest.raises(SystemExit, match="--max-bytes must be non-negative"):
-            main([
-                "cache", "--cache-dir", str(tmp_path), "prune",
-                "--max-bytes", "-1",
-            ])
 
     def test_prune_compact_journals_drops_superseded_lines(
         self, tmp_path, capsys

@@ -1,9 +1,9 @@
-"""Unit tests for the DES timer utilities (BackoffTimer, PeriodicTimer)."""
+"""Unit tests for the DES backoff timer."""
 
 import pytest
 
 from repro.des.engine import Simulator
-from repro.des.timers import BackoffTimer, PeriodicTimer
+from repro.des.timers import BackoffTimer
 
 
 class TestBackoffTimer:
@@ -74,50 +74,3 @@ class TestBackoffTimer:
         with pytest.raises(ValueError):
             BackoffTimer(sim, base_timeout=1.0, backoff=0.5)
 
-
-class TestPeriodicTimer:
-    def test_fires_every_interval(self):
-        sim = Simulator()
-        ticks = []
-        timer = PeriodicTimer(sim, 2.0, lambda: ticks.append(sim.now))
-        timer.start()
-        sim.run_until(7.0)
-        assert ticks == [2.0, 4.0, 6.0]
-        assert timer.fired == 3
-
-    def test_stop_cancels_future_firings(self):
-        sim = Simulator()
-        timer = PeriodicTimer(sim, 1.0, lambda: None)
-        timer.start()
-        sim.run_until(2.5)
-        timer.stop()
-        sim.run_until(10.0)
-        assert timer.fired == 2
-        assert not timer.running
-
-    def test_stop_from_inside_callback(self):
-        sim = Simulator()
-        timer = PeriodicTimer(sim, 1.0, lambda: timer.stop())
-        timer.start()
-        sim.run()
-        assert timer.fired == 1
-
-    def test_start_is_idempotent(self):
-        sim = Simulator()
-        timer = PeriodicTimer(sim, 1.0, lambda: None)
-        timer.start()
-        timer.start()  # no double-scheduling
-        sim.run_until(1.5)
-        assert timer.fired == 1
-
-    def test_passes_args_to_callback(self):
-        sim = Simulator()
-        seen = []
-        timer = PeriodicTimer(sim, 1.0, seen.append, "tick")
-        timer.start()
-        sim.run_until(2.5)
-        assert seen == ["tick", "tick"]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PeriodicTimer(Simulator(), 0.0, lambda: None)

@@ -1,12 +1,12 @@
 """Vectorized kernels agree with their scalar oracles (<= 1e-9).
 
 The adversary and KSG oracles live in ``tests/oracles.py``; the Erlang
-and entropy oracles are the library's own scalar functions.
+oracle is the library's own scalar recursion.
 
 In practice every comparison here is *exactly* equal -- the batch
 kernels perform the same IEEE-754 operations in the same per-element
-order as the scalar code -- but the contract asserted is the issue's
-1e-9 bound.
+order as the scalar code -- but the contract asserted is a 1e-9
+bound.
 """
 
 import numpy as np
@@ -15,16 +15,7 @@ from scipy.spatial import cKDTree
 
 from repro.experiments.common import build_adversary, run_paper_case
 from repro.experiments.fig3 import paper_path_aware_adversary
-from repro.infotheory import batch
-from repro.infotheory.entropy import (
-    erlang_entropy,
-    exponential_entropy,
-    gaussian_entropy,
-    gaussian_mutual_information,
-    uniform_entropy,
-)
 from repro.infotheory.estimators import _marginal_neighbor_counts
-from repro.infotheory.mmse import mmse_lower_bound_from_mi
 from repro.queueing.erlang import erlang_b
 from repro.runtime import kernels
 
@@ -87,63 +78,6 @@ class TestErlangBatch:
     def test_negative_load_rejected(self):
         with pytest.raises(ValueError):
             kernels.erlang_b_batch(np.array([1.0, -0.5]), 5)
-
-
-class TestEntropyBatch:
-    def test_exponential(self):
-        rates = np.array([0.01, 0.5, 1.0, 30.0])
-        got = batch.exponential_entropy_batch(rates)
-        want = [exponential_entropy(float(r)) for r in rates]
-        assert max(abs(a - b) for a, b in zip(got, want)) <= TOL
-
-    def test_uniform(self):
-        widths = np.array([0.2, 1.0, 60.0])
-        got = batch.uniform_entropy_batch(widths)
-        want = [uniform_entropy(float(w)) for w in widths]
-        assert max(abs(a - b) for a, b in zip(got, want)) <= TOL
-
-    def test_gaussian(self):
-        variances = np.array([0.1, 1.0, 900.0])
-        got = batch.gaussian_entropy_batch(variances)
-        want = [gaussian_entropy(float(v)) for v in variances]
-        assert max(abs(a - b) for a, b in zip(got, want)) <= TOL
-
-    def test_erlang(self):
-        shapes = np.array([1, 2, 5, 40])
-        rates = np.array([0.5, 1.0, 2.0, 30.0])
-        got = batch.erlang_entropy_batch(shapes, rates)
-        want = [
-            erlang_entropy(int(k), float(r)) for k, r in zip(shapes, rates)
-        ]
-        assert max(abs(a - b) for a, b in zip(got, want)) <= TOL
-
-    def test_gaussian_mi(self):
-        signal = np.array([0.0, 1.0, 100.0])
-        noise = np.array([1.0, 2.0, 3.0])
-        got = batch.gaussian_mutual_information_batch(signal, noise)
-        want = [
-            gaussian_mutual_information(float(s), float(n))
-            for s, n in zip(signal, noise)
-        ]
-        assert max(abs(a - b) for a, b in zip(got, want)) <= TOL
-
-    def test_mmse_bound(self):
-        h_x = np.array([0.0, 2.0, 5.0])
-        mi = np.array([0.0, 1.0, 4.5])
-        got = batch.mmse_lower_bound_from_mi_batch(h_x, mi)
-        want = [
-            mmse_lower_bound_from_mi(float(h), float(m))
-            for h, m in zip(h_x, mi)
-        ]
-        assert max(abs(a - b) for a, b in zip(got, want)) <= TOL
-
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            batch.exponential_entropy_batch(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            batch.erlang_entropy_batch(np.array([0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            batch.mmse_lower_bound_from_mi_batch(np.array([1.0]), np.array([-0.1]))
 
 
 class TestKsgNeighborCounts:
