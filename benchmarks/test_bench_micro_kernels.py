@@ -4,8 +4,8 @@ These are genuine pytest-benchmark measurements (many iterations) for
 the inner loops everything else is built on: the DES event loop, RCAD
 buffer admissions, the Speck block cipher, the Erlang-B recursion and
 the KSG mutual-information estimator -- plus vectorized-vs-scalar
-pairs for the adversary scoring kernels, so the speedup of the numpy
-batch paths (and their exact agreement with the scalar oracle) is
+pairs for adversary scoring, so the speedup of the columnar
+estimators over the per-packet oracle in ``tests/oracles.py`` is
 measured where the optimization lives.
 """
 
@@ -17,8 +17,7 @@ from repro.crypto.speck import Speck64_128
 from repro.des import Simulator
 from repro.experiments.common import build_adversary, run_paper_case
 from repro.infotheory.estimators import ksg_mutual_information
-from repro.queueing.erlang import erlang_b
-from repro.runtime import kernels
+from repro.queueing.erlang import erlang_b, erlang_b_batch
 from tests.oracles import estimate_all_scalar
 
 
@@ -91,7 +90,7 @@ def test_ksg_estimator_throughput(benchmark):
 
 # ----------------------------------------------------------------------
 # Vectorized vs scalar adversary scoring.  One RCAD observation stream
-# is scored through the numpy batch path and the scalar oracle in
+# is scored through Adversary.estimate_all and the scalar oracle in
 # tests/oracles.py; BENCH_runtime.json records both timings side by side.
 
 @pytest.fixture(scope="module")
@@ -104,11 +103,7 @@ def rcad_observations():
 def test_adversary_estimate_all_vectorized(benchmark, rcad_observations, kind):
     adversary = build_adversary(kind, "rcad")
 
-    def run():
-        adversary.reset()
-        return adversary.estimate_all(rcad_observations)
-
-    estimates = benchmark(run)
+    estimates = benchmark(adversary.estimate_all, rcad_observations)
     assert len(estimates) == len(rcad_observations)
 
 
@@ -116,16 +111,12 @@ def test_adversary_estimate_all_vectorized(benchmark, rcad_observations, kind):
 def test_adversary_estimate_all_scalar(benchmark, rcad_observations, kind):
     adversary = build_adversary(kind, "rcad")
 
-    def run():
-        adversary.reset()
-        return estimate_all_scalar(adversary, rcad_observations)
-
-    estimates = benchmark(run)
+    estimates = benchmark(estimate_all_scalar, adversary, rcad_observations)
     assert len(estimates) == len(rcad_observations)
 
 
 def test_erlang_b_batch_vectorized(benchmark):
     loads = np.linspace(0.1, 50.0, 200)
 
-    total = benchmark(lambda: float(kernels.erlang_b_batch(loads, 10).sum()))
+    total = benchmark(lambda: float(erlang_b_batch(loads, 10).sum()))
     assert 0.0 < total < 200.0

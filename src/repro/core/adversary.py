@@ -17,26 +17,29 @@ buffer capacity k.  Three estimators of increasing sophistication:
   RCAD preemption dominates, and then switches its per-hop delay
   estimate from ``1/mu`` to ``n k / lambda_tot``.
 
-All adversaries consume :class:`~repro.net.packet.PacketObservation`
-objects only -- the construction of that type guarantees no ground
-truth can leak into the estimate.  Handed a run's
-:class:`~repro.sim.results.DeliveryLog`, :meth:`Adversary.estimate_all`
-reads only its tap columns (arrival time, hop count, origin), or its
-observation view.
+Every adversary has one estimator: :meth:`Adversary.estimate_all`
+validates the arrival order, reads the tap columns (arrival time, hop
+count, origin) of a run's :class:`~repro.sim.results.DeliveryLog` or of
+a sequence of :class:`~repro.net.packet.PacketObservation` -- neither
+carries ground truth into the estimate -- and hands them to the
+subclass's columnar :meth:`~Adversary._estimates`.  Each estimate is a
+pure function of the stream passed in.  The per-packet scalar formulas
+live in ``tests/oracles.py`` as the oracle these columns are checked
+against.
 """
 
 from __future__ import annotations
 
 import abc
-from collections.abc import Sequence
+import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.net.packet import PacketObservation
-from repro.queueing.erlang import erlang_b
-from repro.runtime import kernels
+from repro.queueing.erlang import erlang_b, erlang_b_batch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.results import DeliveryLog
@@ -50,6 +53,10 @@ __all__ = [
     "PathAwareAdaptiveAdversary",
     "ModelBasedAdversary",
 ]
+
+#: Arrivals the adaptive adversary observes before it trusts its rate
+#: estimate; until then it estimates like the baseline adversary.
+WARMUP_OBSERVATIONS = 10
 
 
 @dataclass(frozen=True)
@@ -76,79 +83,66 @@ class FlowKnowledge:
     n_sources: int = 1
 
     def __post_init__(self) -> None:
-        if self.transmission_delay < 0:
-            raise ValueError("transmission delay must be non-negative")
-        if self.mean_delay_per_hop < 0:
-            raise ValueError("mean delay per hop must be non-negative")
+        for name in ("transmission_delay", "mean_delay_per_hop"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value}"
+                )
         if self.buffer_capacity is not None and self.buffer_capacity < 1:
             raise ValueError("buffer capacity must be at least 1")
         if self.n_sources < 1:
             raise ValueError("need at least one source")
 
 
-class Adversary(abc.ABC):
-    """Creation-time estimator run over sink observations.
+def _columns(
+    observations: "Sequence[PacketObservation] | DeliveryLog",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(arrival_times, hop_counts, origins)`` as float64, float64, int64.
 
-    Observations must be fed in arrival order; stateful adversaries
-    (the adaptive one) accumulate traffic statistics as they observe.
+    A :class:`~repro.sim.results.DeliveryLog` hands over its own
+    columns; only a sequence of observations is looped over.
     """
+    if not isinstance(observations, Sequence):
+        return observations.observation_arrays()
+    arrivals = np.array([o.arrival_time for o in observations], dtype=np.float64)
+    hops = np.array([o.hop_count for o in observations], dtype=np.float64)
+    origins = np.array([o.origin for o in observations], dtype=np.int64)
+    return arrivals, hops, origins
+
+
+class Adversary(abc.ABC):
+    """Creation-time estimator run over an arrival-ordered sink stream."""
 
     def __init__(self, knowledge: FlowKnowledge) -> None:
         self.knowledge = knowledge
 
-    @abc.abstractmethod
-    def estimate(self, observation: PacketObservation) -> float:
-        """Estimated creation time x_hat for one observed packet."""
-
     def estimate_all(
         self, observations: "Sequence[PacketObservation] | DeliveryLog"
     ) -> list[float]:
-        """Estimate a whole arrival sequence (must be in arrival order).
+        """Estimated creation time of every packet, in input order.
 
         ``observations`` is a sequence of observations or a run's
-        :class:`~repro.sim.results.DeliveryLog`, whose columns feed the
-        batch kernel without building per-packet objects.  Dispatches
-        to the adversary's numpy batch kernel (:meth:`_estimate_batch`)
-        when one exists; adversaries without one fall back to the
-        per-observation scalar loop.  Both paths produce identical
-        estimates (``tests/oracles.py`` keeps the scalar loop as the
-        oracle the equivalence tests compare against).
+        :class:`~repro.sim.results.DeliveryLog`, and must be in arrival
+        order.
         """
         if not len(observations):
             return []
-        arrivals, hops, origins = kernels.observation_arrays(observations)
-        self._check_arrival_order(arrivals)
-        batch = self._estimate_batch(arrivals, hops, origins)
-        if batch is None:
-            if not isinstance(observations, Sequence):
-                observations = observations.observations
-            return [self.estimate(observation) for observation in observations]
-        return batch.tolist()
+        arrivals, hops, origins = _columns(observations)
+        steps = np.diff(arrivals)
+        if np.any(steps < 0):
+            offender = int(np.argmax(steps < 0))
+            raise ValueError(
+                "observations must be supplied in arrival order; "
+                f"{arrivals[offender + 1]:g} after {arrivals[offender]:g}"
+            )
+        return self._estimates(arrivals, hops, origins).tolist()
 
-    @staticmethod
-    def _check_arrival_order(arrivals: np.ndarray) -> None:
-        if arrivals.size > 1:
-            steps = np.diff(arrivals)
-            if np.any(steps < 0):
-                offender = int(np.argmax(steps < 0))
-                raise ValueError(
-                    "observations must be supplied in arrival order; "
-                    f"{arrivals[offender + 1]:g} after {arrivals[offender]:g}"
-                )
-
-    def _estimate_batch(
+    @abc.abstractmethod
+    def _estimates(
         self, arrivals: np.ndarray, hops: np.ndarray, origins: np.ndarray
-    ) -> np.ndarray | None:
-        """Batch estimates for a validated arrival sequence, or None.
-
-        Subclasses with a vectorized kernel override this; returning
-        None selects the scalar fallback.  Stateful adversaries must
-        leave themselves in the same state the scalar loop would.
-        """
-        return None
-
-    def reset(self) -> None:
-        """Forget accumulated observation state (no-op by default)."""
+    ) -> np.ndarray:
+        """Estimates for a non-empty stream already checked for order."""
 
 
 class NaiveAdversary(Adversary):
@@ -158,15 +152,8 @@ class NaiveAdversary(Adversary):
     point showing an undefended network leaks creation times perfectly.
     """
 
-    def estimate(self, observation: PacketObservation) -> float:
-        return observation.arrival_time - (
-            observation.hop_count * self.knowledge.transmission_delay
-        )
-
-    def _estimate_batch(self, arrivals, hops, origins):
-        return kernels.naive_estimates(
-            arrivals, hops, self.knowledge.transmission_delay
-        )
+    def _estimates(self, arrivals, hops, origins):
+        return arrivals - hops * self.knowledge.transmission_delay
 
 
 class BaselineAdversary(Adversary):
@@ -178,34 +165,33 @@ class BaselineAdversary(Adversary):
     shortened the real delays -- the blind spot Figure 2(a) exposes.
     """
 
-    def estimate(self, observation: PacketObservation) -> float:
+    def _estimates(self, arrivals, hops, origins):
         per_hop = (
             self.knowledge.transmission_delay + self.knowledge.mean_delay_per_hop
         )
-        return observation.arrival_time - observation.hop_count * per_hop
-
-    def _estimate_batch(self, arrivals, hops, origins):
-        return kernels.baseline_estimates(
-            arrivals,
-            hops,
-            self.knowledge.transmission_delay,
-            self.knowledge.mean_delay_per_hop,
-        )
+        return arrivals - hops * per_hop
 
 
 class AdaptiveAdversary(Adversary):
     """The Section 5.4 adversary: detects preemption via Erlang loss.
 
-    It estimates the aggregate sink traffic rate ``lambda_tot`` from
-    the arrival stream it observes, computes the buffer-overflow
-    probability ``E(lambda_tot / mu, k)`` and compares it against
-    ``preemption_threshold`` (0.1 in the paper):
+    Before estimating packet ``i`` it has seen ``i + 1`` arrivals and
+    takes the aggregate sink rate as ``lambda_tot = i / (z_i - z_0)``.
+    It computes the buffer-overflow probability ``E(lambda_tot / mu, k)``
+    and compares it against ``preemption_threshold`` (0.1 in the paper):
 
-    * below the threshold, buffers rarely fill; it estimates like the
-      baseline adversary (per-hop extra delay ``1/mu``);
+    * below the threshold, or before it has seen
+      :data:`WARMUP_OBSERVATIONS` arrivals, buffers rarely fill; it
+      estimates like the baseline adversary (per-hop extra delay
+      ``1/mu``);
     * above it, preemption dominates and the effective buffer drain
       time governs delays; it estimates the per-hop extra delay as
-      ``n k / lambda_tot``.
+      ``n k / lambda_tot``, capped at the advertised mean ``1/mu``.
+      RCAD preemption can only *shorten* realized delays, so a
+      saturation estimate above the advertised mean is evidence the
+      saturation model does not apply at that load; without the cap the
+      raw paper formula badly overshoots at intermediate loads where
+      only part of the path is saturated.
 
     Parameters
     ----------
@@ -214,25 +200,10 @@ class AdaptiveAdversary(Adversary):
     preemption_threshold:
         Erlang-loss probability above which the adversary assumes the
         preemption-dominated regime.
-    warmup_observations:
-        Arrivals to observe before trusting the rate estimate; until
-        then it behaves like the baseline adversary.
-    clamp_to_advertised:
-        If True (default), the preemption-regime estimate
-        ``n k / lambda_tot`` is capped at the advertised mean ``1/mu``.
-        RCAD preemption can only *shorten* realized delays, so a
-        saturation estimate exceeding the advertised mean is evidence
-        the saturation model does not apply at that load; without the
-        clamp the raw paper formula badly overshoots at intermediate
-        loads where only part of the path is saturated.
     """
 
     def __init__(
-        self,
-        knowledge: FlowKnowledge,
-        preemption_threshold: float = 0.1,
-        warmup_observations: int = 10,
-        clamp_to_advertised: bool = True,
+        self, knowledge: FlowKnowledge, preemption_threshold: float = 0.1
     ) -> None:
         super().__init__(knowledge)
         if knowledge.buffer_capacity is None:
@@ -245,94 +216,90 @@ class AdaptiveAdversary(Adversary):
             raise ValueError(
                 f"threshold must be in (0, 1), got {preemption_threshold}"
             )
-        if warmup_observations < 2:
-            raise ValueError("need at least 2 warm-up observations")
         self.preemption_threshold = preemption_threshold
-        self.warmup_observations = warmup_observations
-        self.clamp_to_advertised = clamp_to_advertised
-        self._first_arrival: float | None = None
-        self._last_arrival: float | None = None
-        self._arrival_count = 0
 
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self._first_arrival = None
-        self._last_arrival = None
-        self._arrival_count = 0
-
-    @property
-    def observed_rate(self) -> float | None:
-        """Estimated aggregate arrival rate lambda_tot at the sink."""
-        if self._arrival_count < 2 or self._last_arrival == self._first_arrival:
-            return None
-        return (self._arrival_count - 1) / (self._last_arrival - self._first_arrival)
-
-    def preemption_probability(self) -> float | None:
-        """Erlang-loss estimate E(lambda_tot/mu, k) from observed traffic."""
-        rate = self.observed_rate
-        if rate is None:
-            return None
-        mu = 1.0 / self.knowledge.mean_delay_per_hop
-        return erlang_b(rate / mu, self.knowledge.buffer_capacity)
-
-    def in_preemption_regime(self) -> bool:
-        """True once observed traffic implies loss above the threshold."""
-        if self._arrival_count < self.warmup_observations:
-            return False
-        probability = self.preemption_probability()
-        return probability is not None and probability > self.preemption_threshold
-
-    # ------------------------------------------------------------------
-    def estimate(self, observation: PacketObservation) -> float:
-        self._record(observation)
-        per_hop_extra = self._per_hop_extra_delay()
-        per_hop = self.knowledge.transmission_delay + per_hop_extra
-        return observation.arrival_time - observation.hop_count * per_hop
-
-    def _record(self, observation: PacketObservation) -> None:
-        if self._first_arrival is None:
-            self._first_arrival = observation.arrival_time
-        self._last_arrival = observation.arrival_time
-        self._arrival_count += 1
-
-    def _per_hop_extra_delay(self) -> float:
-        if not self.in_preemption_regime():
-            return self.knowledge.mean_delay_per_hop
-        rate = self.observed_rate
-        assert rate is not None  # in_preemption_regime implies a rate estimate
-        capacity = self.knowledge.buffer_capacity
-        assert capacity is not None  # enforced in __init__
-        saturation_delay = self.knowledge.n_sources * capacity / rate
-        if self.clamp_to_advertised:
-            return min(saturation_delay, self.knowledge.mean_delay_per_hop)
-        return saturation_delay
-
-    def _estimate_batch(self, arrivals, hops, origins):
-        capacity = self.knowledge.buffer_capacity
-        assert capacity is not None  # enforced in __init__
-        estimates = kernels.adaptive_estimates(
-            arrivals,
-            hops,
-            transmission_delay=self.knowledge.transmission_delay,
-            mean_delay_per_hop=self.knowledge.mean_delay_per_hop,
-            buffer_capacity=capacity,
-            n_sources=self.knowledge.n_sources,
-            preemption_threshold=self.preemption_threshold,
-            warmup_observations=self.warmup_observations,
-            clamp_to_advertised=self.clamp_to_advertised,
-            prior_count=self._arrival_count,
-            prior_first_arrival=self._first_arrival,
+    def _estimates(self, arrivals, hops, origins):
+        knowledge = self.knowledge
+        mean_delay = knowledge.mean_delay_per_hop
+        counts = np.arange(1, arrivals.size + 1, dtype=np.int64)
+        windows = arrivals - arrivals[0]
+        has_rate = windows > 0.0
+        rates = np.where(
+            has_rate, (counts - 1) / np.where(has_rate, windows, 1.0), np.nan
         )
-        # Leave the adversary in the exact state the scalar loop would:
-        # every batch observation has been recorded.
-        if self._first_arrival is None:
-            self._first_arrival = float(arrivals[0])
-        self._last_arrival = float(arrivals[-1])
-        self._arrival_count += int(arrivals.size)
-        return estimates
+        # rho = rate / mu with mu = 1/(1/mu) -- *not* rate * mean_delay,
+        # which rounds differently.  NaN rates give NaN blocking, which
+        # compares False below.
+        blocking = erlang_b_batch(
+            rates / (1.0 / mean_delay), knowledge.buffer_capacity
+        )
+        in_regime = (counts >= WARMUP_OBSERVATIONS) & (
+            blocking > self.preemption_threshold
+        )
+        saturation = np.minimum(
+            knowledge.n_sources
+            * knowledge.buffer_capacity
+            / np.where(has_rate, rates, 1.0),
+            mean_delay,
+        )
+        extra = np.where(in_regime, saturation, mean_delay)
+        return arrivals - hops * (knowledge.transmission_delay + extra)
 
 
-class PathAwareAdaptiveAdversary(Adversary):
+class _PathTableAdversary(Adversary):
+    """An adversary that knows every hop's aggregate rate on each path.
+
+    ``path_rates`` maps origin node id -> aggregate arrival rates
+    lambda_v at each buffering node on that origin's path, source
+    first (typically from :class:`repro.queueing.tandem.QueueTreeModel`).
+    Subclasses predict one hop's mean extra delay from its rate; the
+    estimate subtracts the path's transmission time and the sum of
+    those predictions.
+    """
+
+    _label = ""
+
+    def __init__(
+        self, knowledge: FlowKnowledge, path_rates: Mapping[int, list[float]]
+    ) -> None:
+        super().__init__(knowledge)
+        if knowledge.buffer_capacity is None:
+            raise ValueError(f"{self._label} adversary needs the buffer capacity k")
+        if knowledge.mean_delay_per_hop <= 0:
+            raise ValueError(f"{self._label} adversary needs the advertised mean 1/mu")
+        if not path_rates:
+            raise ValueError("need per-path rate knowledge for at least one origin")
+        self.path_rates = {origin: list(rates) for origin, rates in path_rates.items()}
+        self._path_delay = {
+            origin: sum(
+                (
+                    self._hop_delay(rate) if rate > 0 else knowledge.mean_delay_per_hop
+                    for rate in rates
+                ),
+                0.0,
+            )
+            for origin, rates in self.path_rates.items()
+        }
+
+    @abc.abstractmethod
+    def _hop_delay(self, rate: float) -> float:
+        """Predicted mean extra delay at a node with aggregate rate > 0."""
+
+    def _estimates(self, arrivals, hops, origins):
+        unique_origins, inverse = np.unique(origins, return_inverse=True)
+        try:
+            delays = np.array(
+                [self._path_delay[origin] for origin in unique_origins.tolist()]
+            )
+        except KeyError as exc:
+            raise KeyError(
+                f"no path knowledge for origin {exc.args[0]}; "
+                f"known origins: {sorted(self._path_delay)}"
+            ) from None
+        return arrivals - hops * self.knowledge.transmission_delay - delays[inverse]
+
+
+class PathAwareAdaptiveAdversary(_PathTableAdversary):
     """Extension: a deployment-aware adversary modelling every hop.
 
     The paper's adaptive adversary treats the whole path as uniformly
@@ -357,70 +324,35 @@ class PathAwareAdaptiveAdversary(Adversary):
     path_rates:
         Mapping origin node id -> list of aggregate arrival rates
         lambda_v at each buffering node on that origin's path, source
-        first.  Typically computed with
-        :class:`repro.queueing.tandem.QueueTreeModel`.
+        first.
     preemption_threshold:
         Per-node Erlang-loss switching threshold.
     """
 
+    _label = "path-aware"
+
     def __init__(
         self,
         knowledge: FlowKnowledge,
-        path_rates: dict[int, list[float]],
+        path_rates: Mapping[int, list[float]],
         preemption_threshold: float = 0.1,
     ) -> None:
-        super().__init__(knowledge)
-        if knowledge.buffer_capacity is None:
-            raise ValueError("path-aware adversary needs the buffer capacity k")
-        if knowledge.mean_delay_per_hop <= 0:
-            raise ValueError("path-aware adversary needs the advertised mean 1/mu")
         if not 0.0 < preemption_threshold < 1.0:
             raise ValueError(
                 f"threshold must be in (0, 1), got {preemption_threshold}"
             )
-        if not path_rates:
-            raise ValueError("need per-path rate knowledge for at least one origin")
         self.preemption_threshold = preemption_threshold
-        self._path_delay: dict[int, float] = {
-            origin: self._predict_path_delay(rates)
-            for origin, rates in path_rates.items()
-        }
+        super().__init__(knowledge, path_rates)
 
-    def _predict_path_delay(self, node_rates: list[float]) -> float:
-        mu = 1.0 / self.knowledge.mean_delay_per_hop
+    def _hop_delay(self, rate: float) -> float:
+        mean_delay = self.knowledge.mean_delay_per_hop
         capacity = self.knowledge.buffer_capacity
-        assert capacity is not None  # enforced in __init__
-        total = 0.0
-        for rate in node_rates:
-            if rate <= 0:
-                total += self.knowledge.mean_delay_per_hop
-                continue
-            blocking = erlang_b(rate / mu, capacity)
-            if blocking > self.preemption_threshold:
-                total += min(self.knowledge.mean_delay_per_hop, capacity / rate)
-            else:
-                total += self.knowledge.mean_delay_per_hop
-        return total
-
-    def estimate(self, observation: PacketObservation) -> float:
-        try:
-            extra = self._path_delay[observation.origin]
-        except KeyError:
-            raise KeyError(
-                f"no path knowledge for origin {observation.origin}; "
-                f"known origins: {sorted(self._path_delay)}"
-            )
-        transmission = observation.hop_count * self.knowledge.transmission_delay
-        return observation.arrival_time - transmission - extra
-
-    def _estimate_batch(self, arrivals, hops, origins):
-        return kernels.path_table_estimates(
-            arrivals, hops, origins, self._path_delay,
-            self.knowledge.transmission_delay,
-        )
+        if erlang_b(rate / (1.0 / mean_delay), capacity) > self.preemption_threshold:
+            return min(mean_delay, capacity / rate)
+        return mean_delay
 
 
-class ModelBasedAdversary(Adversary):
+class ModelBasedAdversary(_PathTableAdversary):
     """Extension: estimates via the closed-form RCAD node model.
 
     The strongest analytic adversary in the library: it predicts each
@@ -442,49 +374,15 @@ class ModelBasedAdversary(Adversary):
         each buffering node on that origin's path, source first.
     """
 
-    def __init__(
-        self,
-        knowledge: FlowKnowledge,
-        path_rates: dict[int, list[float]],
-    ) -> None:
-        super().__init__(knowledge)
-        if knowledge.buffer_capacity is None:
-            raise ValueError("model-based adversary needs the buffer capacity k")
-        if knowledge.mean_delay_per_hop <= 0:
-            raise ValueError("model-based adversary needs the advertised mean 1/mu")
-        if not path_rates:
-            raise ValueError("need per-path rate knowledge for at least one origin")
+    _label = "model-based"
+
+    def _hop_delay(self, rate: float) -> float:
         # Imported here to keep module import costs flat for users that
         # never instantiate this adversary.
         from repro.queueing.rcad_model import RcadNodeModel
 
-        mu = 1.0 / knowledge.mean_delay_per_hop
-        capacity = knowledge.buffer_capacity
-        self._path_delay: dict[int, float] = {}
-        for origin, rates in path_rates.items():
-            total = 0.0
-            for rate in rates:
-                if rate <= 0:
-                    total += knowledge.mean_delay_per_hop
-                    continue
-                total += RcadNodeModel(
-                    arrival_rate=rate, service_rate=mu, capacity=capacity
-                ).mean_delay
-            self._path_delay[origin] = total
-
-    def estimate(self, observation: PacketObservation) -> float:
-        try:
-            extra = self._path_delay[observation.origin]
-        except KeyError:
-            raise KeyError(
-                f"no path knowledge for origin {observation.origin}; "
-                f"known origins: {sorted(self._path_delay)}"
-            )
-        transmission = observation.hop_count * self.knowledge.transmission_delay
-        return observation.arrival_time - transmission - extra
-
-    def _estimate_batch(self, arrivals, hops, origins):
-        return kernels.path_table_estimates(
-            arrivals, hops, origins, self._path_delay,
-            self.knowledge.transmission_delay,
-        )
+        return RcadNodeModel(
+            arrival_rate=rate,
+            service_rate=1.0 / self.knowledge.mean_delay_per_hop,
+            capacity=self.knowledge.buffer_capacity,
+        ).mean_delay

@@ -61,10 +61,9 @@ def erlang_path_delay_pdf(
 class EmpiricalBayesAdversary(Adversary):
     """Two-stage attack: EM-learned prior + posterior-mean estimates.
 
-    Unlike the streaming adversaries, this one is *batch*: call
-    :meth:`fit` with the full observation stream first (the EM stage
-    needs the whole arrival histogram), then :meth:`estimate` /
-    :meth:`estimate_all` produce the per-packet posterior means.
+    Call :meth:`fit` with the full observation stream first (the EM
+    stage needs the whole arrival histogram); :meth:`estimate_all` then
+    produces the per-packet posterior means.
 
     Parameters
     ----------
@@ -141,18 +140,21 @@ class EmpiricalBayesAdversary(Adversary):
             )
 
     # ------------------------------------------------------------------
-    def estimate(self, observation: PacketObservation) -> float:
+    def _estimates(self, arrivals, hops, origins):
         if not self._posterior_mean:
             raise RuntimeError(
                 "EmpiricalBayesAdversary.fit must run before estimation"
             )
-        try:
-            estimator = self._posterior_mean[observation.origin]
-        except KeyError:
-            raise KeyError(
-                f"adversary was not fitted on origin {observation.origin}"
-            )
-        return estimator(observation.arrival_time)
+        estimates = np.empty(arrivals.size)
+        for i, (z, origin) in enumerate(zip(arrivals.tolist(), origins.tolist())):
+            try:
+                estimator = self._posterior_mean[origin]
+            except KeyError:
+                raise KeyError(
+                    f"adversary was not fitted on origin {origin}"
+                ) from None
+            estimates[i] = estimator(z)
+        return estimates
 
     def reset(self) -> None:
         """Forget the fitted priors."""

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import abc
 import inspect
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -66,6 +67,13 @@ _VICTIM_POLICIES: dict[str, Callable[[], VictimPolicy] | None] = {
     OldestArrival.name: OldestArrival,
     NewestArrival.name: NewestArrival,
 }
+
+
+def _check_mean_delay(mean_delay: float) -> None:
+    if not (math.isfinite(mean_delay) and mean_delay > 0):
+        raise ValueError(
+            f"mean_delay must be finite and positive, got {mean_delay}"
+        )
 
 
 def _victim_policy(name: str) -> VictimPolicy | None:
@@ -209,10 +217,7 @@ class InfiniteBufferDefense(Defense):
     mean_delay: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.mean_delay <= 0:
-            raise ValueError(
-                f"mean delay must be positive, got {self.mean_delay}"
-            )
+        _check_mean_delay(self.mean_delay)
 
     def materialize(self, context: DefenseContext) -> DefenseMaterialization:
         plan = UniformPlanner(self.mean_delay).plan(
@@ -235,10 +240,7 @@ class _BoundedDelayDefense(Defense):
     victim: str = ShortestRemainingDelay.name
 
     def __post_init__(self) -> None:
-        if self.mean_delay <= 0:
-            raise ValueError(
-                f"mean delay must be positive, got {self.mean_delay}"
-            )
+        _check_mean_delay(self.mean_delay)
         _victim_policy(self.victim)  # validate the name eagerly
 
     def _buffers(self, context: DefenseContext, kind: str) -> BufferSpec:
@@ -341,9 +343,9 @@ class ProportionalDelayDefense(_BoundedDelayDefense):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.exponent < 0:
+        if not (math.isfinite(self.exponent) and self.exponent >= 0):
             raise ValueError(
-                f"exponent must be non-negative, got {self.exponent}"
+                f"exponent must be finite and non-negative, got {self.exponent}"
             )
 
     def materialize(self, context: DefenseContext) -> DefenseMaterialization:

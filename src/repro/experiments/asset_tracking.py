@@ -142,7 +142,6 @@ def asset_tracking_experiment(
             estimate = adversary.reconstruct(result.observations)
             error = mean_localization_error(trajectory, estimate, time_step=5.0)
 
-            estimator.reset()
             time_estimates = estimator.estimate_all(result.observations)
             truths = np.array([r.created_at for r in result.records])
             time_rmse = float(

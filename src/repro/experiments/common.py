@@ -124,7 +124,6 @@ def score_flow(
     exploits to estimate the aggregate rate), but it is scored on the
     requested flow only -- flow S1 in the paper's reported results.
     """
-    adversary.reset()
     delivery = result.delivery
     estimates = adversary.estimate_all(delivery)
     indices = np.flatnonzero(delivery.flow_id == flow_id)

@@ -20,11 +20,13 @@ The paper uses this in two ways, both implemented here:
 
 from __future__ import annotations
 
-import math
 import operator
+
+import numpy as np
 
 __all__ = [
     "erlang_b",
+    "erlang_b_batch",
     "erlang_b_inverse_capacity",
     "offered_load_for_target_loss",
     "mu_for_target_loss",
@@ -92,6 +94,23 @@ def erlang_b(offered_load: float, servers: int) -> float:
     return blocking
 
 
+def erlang_b_batch(offered_loads: np.ndarray, servers: int) -> np.ndarray:
+    """:func:`erlang_b` over a whole array of offered loads.
+
+    The same recursion, iterated ``servers`` times over the array:
+    identical operations per element, so identical results.  NaN loads
+    propagate to NaN blocking (callers mask them).
+    """
+    servers = _check_servers(servers)
+    loads = np.asarray(offered_loads, dtype=np.float64)
+    if np.any(loads < 0):  # NaNs compare False, as intended
+        raise ValueError("offered loads must be non-negative")
+    blocking = np.ones_like(loads)
+    for k in range(1, servers + 1):
+        blocking = loads * blocking / (k + loads * blocking)
+    return blocking
+
+
 def erlang_b_inverse_capacity(offered_load: float, target_loss: float) -> int:
     """Smallest k with E(rho, k) <= target_loss.
 
@@ -156,26 +175,3 @@ def _check_target(target_loss: float) -> None:
         raise ValueError(
             f"target loss must be strictly between 0 and 1, got {target_loss}"
         )
-
-
-def erlang_b_direct(offered_load: float, servers: int) -> float:
-    """Textbook form of the Erlang-B formula (Equation (5) verbatim).
-
-    Present for cross-validation against :func:`erlang_b`; computed in
-    log space so it remains usable for moderate k, but prefer
-    :func:`erlang_b` in production code.
-    """
-    servers = _check_servers(servers)
-    if offered_load < 0:
-        raise ValueError(f"offered load must be non-negative, got {offered_load}")
-    if offered_load == 0:
-        return 1.0 if servers == 0 else 0.0
-    log_rho = math.log(offered_load)
-    log_terms = [i * log_rho - math.lgamma(i + 1) for i in range(servers + 1)]
-    top = log_terms[servers]
-    peak = max(log_terms)
-    denominator = sum(math.exp(term - peak) for term in log_terms)
-    return math.exp(top - peak) / denominator
-
-
-__all__.append("erlang_b_direct")

@@ -1,4 +1,4 @@
-"""Parallel experiment runtime: supervised sweeps, result cache, batch kernels.
+"""Parallel experiment runtime: supervised sweeps, result cache, journal, fabric.
 
 Every figure and ablation funnels its simulations through two seams --
 the :func:`repro.analysis.sweep.sweep`/``replicate`` loop and the
@@ -24,10 +24,6 @@ per-cell simulator invocation.  This package instruments both:
   (:func:`use_runtime`) that ties the two together and the
   cache-aware :func:`run_simulation` entry point all experiment
   drivers call;
-* :mod:`repro.runtime.kernels` -- numpy batch kernels for the hot
-  scoring paths (adversary estimation, the Erlang-B recursion); the
-  scalar implementations remain in place as the oracle the equivalence
-  tests check against;
 * :mod:`repro.runtime.journal` -- the append-only checkpoint journal
   (JSONL of completed cell results, checksummed line-by-line) that
   makes interrupted sweeps resumable via ``--resume``;

@@ -230,7 +230,8 @@ class DeliveryLog:
 
     def observation_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(arrival_times, hop_counts, origins)`` as float64, float64 and
-        int64 -- the layout of :func:`repro.runtime.kernels.observation_arrays`."""
+        int64: the tap columns :meth:`repro.core.adversary.Adversary.estimate_all`
+        reads."""
         return (
             self.arrival_time,
             self.hop_count.astype(np.float64),

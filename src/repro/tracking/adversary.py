@@ -84,7 +84,6 @@ class TrackingAdversary:
         """Build the track estimate from an arrival-ordered stream."""
         if not observations:
             raise ValueError("cannot reconstruct a track from zero observations")
-        self.time_estimator.reset()
         estimates = self.time_estimator.estimate_all(list(observations))
         pins = []
         for observation, estimated_time in zip(observations, estimates):

@@ -2,9 +2,9 @@
 
 Each function here is the plain, obviously-correct form of something
 ``src/`` computes faster: the O(k) victim scans RCAD preemption started
-from, the per-observation adversary loop, and the per-point KSG
-neighbour count.  They live with the tests because only the tests run
-them.
+from, the per-packet adversary formulas, the textbook Erlang-B sum, and
+the per-point KSG neighbour count.  They live with the tests because
+only the tests run them.
 """
 
 from __future__ import annotations
@@ -14,7 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.adversary import (
+    WARMUP_OBSERVATIONS,
+    AdaptiveAdversary,
+    BaselineAdversary,
+    ModelBasedAdversary,
+    NaiveAdversary,
+    PathAwareAdaptiveAdversary,
+)
 from repro.core.buffers import BufferedEntry
+from repro.queueing.erlang import _check_servers, erlang_b
 
 # ----------------------------------------------------------------------
 # RCAD victim selection: one linear scan per policy name.
@@ -113,18 +122,89 @@ def replay_node(capacity, policy, arrival_times, release_times, rng=None):
 
 
 def estimate_all_scalar(adversary, observations) -> list[float]:
-    """The per-observation loop :meth:`Adversary.estimate_all` batches."""
-    previous = -float("inf")
+    """``adversary.estimate_all(observations)``, one packet at a time.
+
+    Re-derives every estimate from the adversary's public parameters
+    with the paper's per-packet formulas and scalar :func:`erlang_b`; it
+    calls none of the adversary's own estimation code.  The adaptive
+    adversary's rate after the ``count``-th arrival is
+    ``(count - 1) / (z - z_first)``.
+    """
+    knowledge = adversary.knowledge
+    tau = knowledge.transmission_delay
+    mean = knowledge.mean_delay_per_hop
+    capacity = knowledge.buffer_capacity
+    kind = type(adversary)
+
+    def hop_delay(rate):
+        if rate <= 0:
+            return mean
+        blocking = erlang_b(rate / (1.0 / mean), capacity)
+        if kind is ModelBasedAdversary:
+            return (1.0 - blocking) / (1.0 / mean)
+        if blocking > adversary.preemption_threshold:
+            return min(mean, capacity / rate)
+        return mean
+
+    path_extra = {}
+    if kind in (PathAwareAdaptiveAdversary, ModelBasedAdversary):
+        for origin, rates in adversary.path_rates.items():
+            total = 0.0
+            for rate in rates:
+                total += hop_delay(rate)
+            path_extra[origin] = total
+
+    previous = -math.inf
+    first = None
     estimates = []
-    for observation in observations:
-        if observation.arrival_time < previous:
+    for count, observation in enumerate(observations, start=1):
+        z, h = observation.arrival_time, observation.hop_count
+        if z < previous:
             raise ValueError(
                 "observations must be supplied in arrival order; "
-                f"{observation.arrival_time:g} after {previous:g}"
+                f"{z:g} after {previous:g}"
             )
-        previous = observation.arrival_time
-        estimates.append(adversary.estimate(observation))
+        previous = z
+        if first is None:
+            first = z
+        if kind is NaiveAdversary:
+            estimates.append(z - h * tau)
+        elif kind is BaselineAdversary:
+            estimates.append(z - h * (tau + mean))
+        elif kind is AdaptiveAdversary:
+            extra = mean
+            if count >= WARMUP_OBSERVATIONS and z != first:
+                rate = (count - 1) / (z - first)
+                blocking = erlang_b(rate / (1.0 / mean), capacity)
+                if blocking > adversary.preemption_threshold:
+                    extra = min(knowledge.n_sources * capacity / rate, mean)
+            estimates.append(z - h * (tau + extra))
+        elif path_extra:
+            if observation.origin not in path_extra:
+                raise KeyError(f"no path knowledge for origin {observation.origin}")
+            estimates.append(z - h * tau - path_extra[observation.origin])
+        else:
+            raise TypeError(f"no scalar oracle for {kind.__name__}")
     return estimates
+
+
+def erlang_b_direct(offered_load: float, servers: int) -> float:
+    """Textbook form of the Erlang-B formula (Equation (5) verbatim).
+
+    Computed in log space so it remains usable for moderate k; the
+    cross-check for the recursion in :func:`erlang_b`.
+    """
+    servers = _check_servers(servers)
+    if offered_load < 0:
+        raise ValueError(f"offered load must be non-negative, got {offered_load}")
+    if offered_load == 0:
+        return 1.0 if servers == 0 else 0.0
+    log_rho = math.log(offered_load)
+    log_terms = [i * log_rho - math.lgamma(i + 1) for i in range(servers + 1)]
+    top = log_terms[servers]
+    peak = max(log_terms)
+    denominator = sum(math.exp(term - peak) for term in log_terms)
+    return math.exp(top - peak) / denominator
 
 
 def marginal_neighbor_counts_scalar(tree, points, radii) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Unit tests for the adversary estimators."""
 
+import math
+
 import pytest
 
 from repro.core.adversary import (
+    WARMUP_OBSERVATIONS,
     AdaptiveAdversary,
     BaselineAdversary,
     FlowKnowledge,
@@ -41,32 +44,44 @@ class TestFlowKnowledge:
         with pytest.raises(ValueError):
             FlowKnowledge(n_sources=0)
 
+    @pytest.mark.parametrize("field", ["transmission_delay", "mean_delay_per_hop"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delays_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FlowKnowledge(**{field: value})
+
+
+def _estimate(adversary, observation):
+    return adversary.estimate_all([observation])[0]
+
 
 class TestNaiveAdversary:
     def test_formula(self):
         adversary = NaiveAdversary(FlowKnowledge(transmission_delay=1.0))
-        assert adversary.estimate(_obs(arrival=100.0, hops=15)) == 85.0
+        assert _estimate(adversary, _obs(arrival=100.0, hops=15)) == 85.0
 
     def test_exact_on_undefended_network(self):
         """z = x + h*tau implies x_hat = x."""
         adversary = NaiveAdversary(FlowKnowledge(transmission_delay=2.0))
         x = 50.0
         z = x + 7 * 2.0
-        assert adversary.estimate(_obs(arrival=z, hops=7)) == pytest.approx(x)
+        assert _estimate(adversary, _obs(arrival=z, hops=7)) == pytest.approx(x)
 
 
 class TestBaselineAdversary:
     def test_formula(self):
         adversary = BaselineAdversary(RCAD_KNOWLEDGE)
         # x_hat = z - h (tau + 1/mu) = 500 - 15 * 31.
-        assert adversary.estimate(_obs(arrival=500.0, hops=15)) == pytest.approx(35.0)
+        assert _estimate(adversary, _obs(arrival=500.0, hops=15)) == pytest.approx(
+            35.0
+        )
 
     def test_unbiased_against_unlimited_buffers_on_average(self):
         """Against the mean total delay, the estimate is centred."""
         adversary = BaselineAdversary(RCAD_KNOWLEDGE)
         x = 10.0
         mean_z = x + 15 * (1.0 + 30.0)
-        assert adversary.estimate(_obs(arrival=mean_z, hops=15)) == pytest.approx(x)
+        assert _estimate(adversary, _obs(arrival=mean_z, hops=15)) == pytest.approx(x)
 
     def test_estimate_all_requires_arrival_order(self):
         adversary = BaselineAdversary(RCAD_KNOWLEDGE)
@@ -79,67 +94,67 @@ class TestBaselineAdversary:
         assert estimates == [pytest.approx(35.0), pytest.approx(135.0)]
 
 
-class TestAdaptiveAdversary:
-    def _feed_uniform(self, adversary, rate, count=200, hops=15):
-        """Feed `count` observations at a constant aggregate rate."""
-        estimates = []
-        for i in range(count):
-            estimates.append(adversary.estimate(_obs(arrival=i / rate, hops=hops)))
-        return estimates
+def _uniform(rate, count=200, hops=15):
+    """`count` observations at a constant aggregate rate."""
+    return [_obs(arrival=i / rate, hops=hops) for i in range(count)]
 
+
+class TestAdaptiveAdversary:
     def test_low_rate_behaves_like_baseline(self):
-        adversary = AdaptiveAdversary(RCAD_KNOWLEDGE)
-        baseline = BaselineAdversary(RCAD_KNOWLEDGE)
         # Aggregate rate 0.05 -> rho = 1.5 on k = 10: loss ~ 0.
-        estimates = self._feed_uniform(adversary, rate=0.05)
-        final_obs = _obs(arrival=(200 / 0.05) + 100.0)
-        assert adversary.estimate(final_obs) == pytest.approx(
-            baseline.estimate(final_obs)
-        )
-        assert not adversary.in_preemption_regime()
+        stream = _uniform(rate=0.05) + [_obs(arrival=(200 / 0.05) + 100.0)]
+        estimates = AdaptiveAdversary(RCAD_KNOWLEDGE).estimate_all(stream)
+        baseline = BaselineAdversary(RCAD_KNOWLEDGE).estimate_all(stream)
+        assert estimates == pytest.approx(baseline)
 
     def test_high_rate_switches_to_saturation_estimate(self):
-        adversary = AdaptiveAdversary(RCAD_KNOWLEDGE, clamp_to_advertised=False)
-        # Aggregate rate 2.0 -> rho = 60 on k = 10: loss >> 0.1.
-        self._feed_uniform(adversary, rate=2.0)
-        assert adversary.in_preemption_regime()
-        assert adversary.observed_rate == pytest.approx(2.0, rel=0.02)
-        # Next arrival continues the same rate (a distant arrival would
+        # Aggregate rate 2.0 -> rho = 60 on k = 10: loss >> 0.1.  The
+        # next arrival continues the same rate (a distant arrival would
         # legitimately dilute the adversary's rate estimate).
         # Per-hop extra: n k / lambda_tot = 4 * 10 / 2 = 20.
         obs = _obs(arrival=200 / 2.0 + 0.5, hops=15)
+        stream = _uniform(rate=2.0) + [obs]
+        estimates = AdaptiveAdversary(RCAD_KNOWLEDGE).estimate_all(stream)
         expected = obs.arrival_time - 15 * (1.0 + 20.0)
-        assert adversary.estimate(obs) == pytest.approx(expected, abs=3.0)
+        assert estimates[-1] == pytest.approx(expected, abs=3.0)
 
     def test_clamp_caps_at_advertised_mean(self):
-        adversary = AdaptiveAdversary(RCAD_KNOWLEDGE, clamp_to_advertised=True)
         # Rate 0.4: rho = 12 > threshold load, but n k / lambda = 100 > 30.
-        self._feed_uniform(adversary, rate=0.4)
-        assert adversary.in_preemption_regime()
-        obs = _obs(arrival=200 / 0.4 + 2.0, hops=15)
-        baseline = BaselineAdversary(RCAD_KNOWLEDGE)
-        assert adversary.estimate(obs) == pytest.approx(
-            baseline.estimate(obs), rel=1e-6
+        stream = _uniform(rate=0.4) + [_obs(arrival=200 / 0.4 + 2.0, hops=15)]
+        estimates = AdaptiveAdversary(RCAD_KNOWLEDGE).estimate_all(stream)
+        baseline = BaselineAdversary(RCAD_KNOWLEDGE).estimate_all(stream)
+        assert estimates[-1] == pytest.approx(baseline[-1], rel=1e-6)
+        # The stream is in the preemption regime: with one source the
+        # drain time k / lambda = 25 < 30 shows through the cap.
+        one_source = FlowKnowledge(
+            transmission_delay=1.0, mean_delay_per_hop=30.0, buffer_capacity=10
         )
+        uncapped = AdaptiveAdversary(one_source).estimate_all(stream)
+        assert uncapped[-1] > baseline[-1] + 15 * 4.0
 
     def test_warmup_behaves_like_baseline(self):
-        adversary = AdaptiveAdversary(RCAD_KNOWLEDGE, warmup_observations=50)
-        baseline = BaselineAdversary(RCAD_KNOWLEDGE)
-        obs = _obs(arrival=1.0)
-        assert adversary.estimate(obs) == baseline.estimate(obs)
+        stream = _uniform(rate=2.0, count=WARMUP_OBSERVATIONS)
+        estimates = AdaptiveAdversary(RCAD_KNOWLEDGE).estimate_all(stream)
+        baseline = BaselineAdversary(RCAD_KNOWLEDGE).estimate_all(stream)
+        assert estimates[:-1] == baseline[:-1]
+        assert estimates[-1] > baseline[-1]
 
     def test_preemption_probability_matches_erlang(self):
-        adversary = AdaptiveAdversary(RCAD_KNOWLEDGE)
-        self._feed_uniform(adversary, rate=1.0)
-        expected = erlang_b(1.0 * 30.0, 10)
-        assert adversary.preemption_probability() == pytest.approx(expected, rel=0.05)
+        # Rate 2.0: the regime switch sits exactly at E(2.0 * 30, 10).
+        stream = _uniform(rate=2.0)
+        loss = erlang_b(2.0 * 30.0, 10)
+        baseline = BaselineAdversary(RCAD_KNOWLEDGE).estimate_all(stream)
+        below = AdaptiveAdversary(RCAD_KNOWLEDGE, preemption_threshold=loss * 0.99)
+        above = AdaptiveAdversary(RCAD_KNOWLEDGE, preemption_threshold=loss * 1.01)
+        assert below.estimate_all(stream)[-1] > baseline[-1]
+        assert above.estimate_all(stream) == baseline
 
-    def test_reset_clears_state(self):
+    def test_estimates_depend_only_on_the_stream(self):
         adversary = AdaptiveAdversary(RCAD_KNOWLEDGE)
-        self._feed_uniform(adversary, rate=2.0)
-        adversary.reset()
-        assert adversary.observed_rate is None
-        assert not adversary.in_preemption_regime()
+        stream = _uniform(rate=2.0)
+        first = adversary.estimate_all(stream)
+        adversary.estimate_all(_uniform(rate=0.05))
+        assert adversary.estimate_all(stream) == first
 
     def test_requires_capacity_and_delay(self):
         with pytest.raises(ValueError):
@@ -151,7 +166,7 @@ class TestAdaptiveAdversary:
         with pytest.raises(ValueError):
             AdaptiveAdversary(RCAD_KNOWLEDGE, preemption_threshold=0.0)
         with pytest.raises(ValueError):
-            AdaptiveAdversary(RCAD_KNOWLEDGE, warmup_observations=1)
+            AdaptiveAdversary(RCAD_KNOWLEDGE, preemption_threshold=1.0)
 
 
 class TestPathAwareAdversary:
@@ -162,7 +177,7 @@ class TestPathAwareAdversary:
         adversary = PathAwareAdaptiveAdversary(RCAD_KNOWLEDGE, path_rates=light)
         baseline = BaselineAdversary(RCAD_KNOWLEDGE)
         obs = _obs(arrival=1000.0)
-        assert adversary.estimate(obs) == pytest.approx(baseline.estimate(obs))
+        assert _estimate(adversary, obs) == pytest.approx(_estimate(baseline, obs))
 
     def test_saturated_hops_use_drain_time(self):
         adversary = PathAwareAdaptiveAdversary(
@@ -172,14 +187,14 @@ class TestPathAwareAdversary:
         # delay = sum min(30, 10/rate) = 4*20 + 2*13.33 + 9*10 = 196.67.
         obs = _obs(arrival=1000.0, hops=15)
         expected = 1000.0 - 15 * 1.0 - (4 * 20.0 + 2 * (10 / 0.75) + 9 * 10.0)
-        assert adversary.estimate(obs) == pytest.approx(expected)
+        assert _estimate(adversary, obs) == pytest.approx(expected)
 
     def test_unknown_origin_raises(self):
         adversary = PathAwareAdaptiveAdversary(
             RCAD_KNOWLEDGE, path_rates=self.PATH_RATES
         )
-        with pytest.raises(KeyError):
-            adversary.estimate(_obs(arrival=10.0, origin=999))
+        with pytest.raises(KeyError, match="999"):
+            adversary.estimate_all([_obs(arrival=10.0, origin=999)])
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -69,7 +69,7 @@ class TestEmpiricalBayesAdversary:
     def test_requires_fit_before_estimate(self):
         adversary = EmpiricalBayesAdversary(KNOWLEDGE, hop_counts={5: 3})
         with pytest.raises(RuntimeError):
-            adversary.estimate(_obs(10.0))
+            adversary.estimate_all([_obs(10.0)])
 
     def test_beats_mean_subtraction_on_structured_traffic(self):
         rng = np.random.Generator(np.random.PCG64(1))
@@ -97,8 +97,8 @@ class TestEmpiricalBayesAdversary:
         _, observations = self._synthetic_observations(rng, n=100)
         adversary = EmpiricalBayesAdversary(KNOWLEDGE, hop_counts={5: 3})
         adversary.fit(observations)
-        with pytest.raises(KeyError):
-            adversary.estimate(_obs(500.0, origin=99))
+        with pytest.raises(KeyError, match="99"):
+            adversary.estimate_all([_obs(500.0, origin=99)])
         with pytest.raises(KeyError):
             adversary.fit([_obs(500.0, origin=99)])
 
@@ -109,7 +109,7 @@ class TestEmpiricalBayesAdversary:
         adversary.fit(observations)
         adversary.reset()
         with pytest.raises(RuntimeError):
-            adversary.estimate(observations[0])
+            adversary.estimate_all(observations[:1])
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -178,7 +178,6 @@ class TestScoringReadsColumns:
             AdaptiveAdversary(knowledge),
         ):
             from_columns = adversary.estimate_all(log)
-            adversary.reset()  # the adaptive adversary learns as it goes
             assert from_columns == adversary.estimate_all(result.observations)
         estimates = BaselineAdversary(knowledge).estimate_all(log)
         rows = result.flow_indices(1)

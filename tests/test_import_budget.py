@@ -106,6 +106,30 @@ def test_pool_stack_loads_on_first_parallel_map():
     assert report == {"serial": False, "parallel": True}
 
 
+_LAYERING_PROBE = """
+import json, sys
+import {module}
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "runtime"])))
+"""
+
+
+@pytest.mark.parametrize("module", ["repro.core", "repro.service"])
+def test_core_and_service_load_no_runtime_module(module):
+    """The adversaries and the streaming service sit below the sweep runtime."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAYERING_PROBE.format(module=module)],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+
+
 class TestLazyRuntimeNames:
     def test_every_exported_name_resolves(self):
         for name in repro.runtime.__all__:

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from repro.queueing.erlang import (
     erlang_b,
-    erlang_b_direct,
     erlang_b_inverse_capacity,
     mu_for_target_loss,
     offered_load_for_target_loss,
 )
+
+from .oracles import erlang_b_direct
 
 
 class TestErlangB:

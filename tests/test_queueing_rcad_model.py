@@ -162,7 +162,7 @@ class TestModelBasedAdversary:
         adversary = ModelBasedAdversary(self.KNOWLEDGE, {103: rates})
         node = RcadNodeModel(arrival_rate=0.5, service_rate=1 / 30, capacity=10)
         expected_extra = 15 * node.mean_delay
-        estimate = adversary.estimate(self._obs(1000.0))
+        [estimate] = adversary.estimate_all([self._obs(1000.0)])
         assert estimate == pytest.approx(1000.0 - 15.0 - expected_extra)
 
     def test_nearly_unbiased_against_rcad(self, rcad_result, paper_tree, paper_deployment):
@@ -207,7 +207,7 @@ class TestModelBasedAdversary:
     def test_unknown_origin_raises(self):
         adversary = ModelBasedAdversary(self.KNOWLEDGE, {103: [0.5]})
         with pytest.raises(KeyError):
-            adversary.estimate(self._obs(10.0, origin=7))
+            adversary.estimate_all([self._obs(10.0, origin=7)])
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Scenario specs, the defense registry, and the matrix runner."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -125,6 +126,31 @@ class TestSpecValidation:
                     DefenseSpec(name="rcad", params={"mean_delay": 10.0}),
                 )
             )
+
+    @pytest.mark.parametrize(
+        "defense, params, field",
+        [
+            ("rcad", {"mean_delay": math.nan}, "mean_delay"),
+            ("infinite", {"mean_delay": math.inf}, "mean_delay"),
+            ("drop-tail", {"mean_delay": -math.inf}, "mean_delay"),
+            ("proportional-delay", {"exponent": math.nan}, "exponent"),
+            ("proportional-delay", {"exponent": math.inf}, "exponent"),
+        ],
+    )
+    def test_non_finite_delay_parameters_fail_at_parse_time(
+        self, defense, params, field
+    ):
+        suite = {
+            "scenarios": [
+                {
+                    "name": "t",
+                    "topology": {"family": "line", "n_nodes": 6},
+                    "defenses": [{"name": defense, "params": params}],
+                }
+            ]
+        }
+        with pytest.raises(ValueError, match=field):
+            parse_suite(suite)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="n_packet"):
