@@ -89,30 +89,29 @@ def test_ksg_estimator_throughput(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Vectorized vs scalar adversary scoring.  One RCAD observation stream
-# is scored through Adversary.estimate_all and the scalar oracle in
+# Vectorized vs scalar adversary scoring.  One RCAD run's DeliveryLog is
+# scored through Adversary.estimate_all and the scalar oracle in
 # tests/oracles.py; BENCH_runtime.json records both timings side by side.
 
 @pytest.fixture(scope="module")
-def rcad_observations():
-    result = run_paper_case(2.0, "rcad", n_packets=500, seed=0)
-    return result.observations
+def rcad_delivery():
+    return run_paper_case(2.0, "rcad", n_packets=500, seed=0).delivery
 
 
 @pytest.mark.parametrize("kind", ["naive", "baseline", "adaptive"])
-def test_adversary_estimate_all_vectorized(benchmark, rcad_observations, kind):
+def test_adversary_estimate_all_vectorized(benchmark, rcad_delivery, kind):
     adversary = build_adversary(kind, "rcad")
 
-    estimates = benchmark(adversary.estimate_all, rcad_observations)
-    assert len(estimates) == len(rcad_observations)
+    estimates = benchmark(adversary.estimate_all, rcad_delivery)
+    assert len(estimates) == len(rcad_delivery)
 
 
 @pytest.mark.parametrize("kind", ["naive", "baseline", "adaptive"])
-def test_adversary_estimate_all_scalar(benchmark, rcad_observations, kind):
+def test_adversary_estimate_all_scalar(benchmark, rcad_delivery, kind):
     adversary = build_adversary(kind, "rcad")
 
-    estimates = benchmark(estimate_all_scalar, adversary, rcad_observations)
-    assert len(estimates) == len(rcad_observations)
+    estimates = benchmark(estimate_all_scalar, adversary, rcad_delivery)
+    assert len(estimates) == len(rcad_delivery)
 
 
 def test_erlang_b_batch_vectorized(benchmark):

@@ -88,16 +88,17 @@ def main() -> None:
           f"{'RMSE':>10} {'I(X;Xhat) nats':>15}")
     for case in ("undefended", "rcad"):
         result, hunter = run(case)
-        estimates = hunter.estimate_all(result.observations)
+        estimates = hunter.estimate_all(result.delivery)
         for flow_id in result.flow_ids():
             indices = result.flow_indices(flow_id)
             flow_estimates = [estimates[i] for i in indices]
-            records = [result.records[i] for i in indices]
+            records = result.delivery.take(indices)
             metrics = summarize_flow(records, flow_estimates)
-            truths = np.array([r.created_at for r in records])
-            leakage = ksg_mutual_information(truths, np.array(flow_estimates))
+            leakage = ksg_mutual_information(
+                records.created_at, np.array(flow_estimates)
+            )
             print(
-                f"{case:>12} {flow_id:>6} {records[0].hop_count:>6} "
+                f"{case:>12} {flow_id:>6} {records.hop_count[0]:>6} "
                 f"{metrics.mse:>12.1f} {metrics.rmse:>10.2f} {leakage:>15.2f}"
             )
     print(

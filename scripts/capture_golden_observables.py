@@ -40,7 +40,7 @@ def capture() -> dict[str, str]:
         digests[name] = observable_digest(result)
         print(f"  {name:30s} {digests[name][:16]}…  "
               f"({time.perf_counter() - start:.2f}s, "
-              f"{len(result.records)} delivered)")
+              f"{len(result.delivery)} delivered)")
     return digests
 
 

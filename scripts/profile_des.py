@@ -4,8 +4,8 @@
 Runs the paper's highest-load RCAD cell under cProfile and prints the
 top-20 functions by cumulative time -- the view that motivated (and now
 monitors) the hot-path overhaul.  By default both engines are profiled:
-the event-driven calendar-queue engine (``REPRO_FASTPATH=0``) first,
-then the vectorized fast path.
+the event-driven engine, one ``(when, seq, handle)`` heap
+(``REPRO_FASTPATH=0``), first, then the vectorized fast path.
 
 Usage:
     PYTHONPATH=src python scripts/profile_des.py [--packets N]
@@ -44,7 +44,7 @@ def profile_mode(mode: str, n_packets: int, top: int) -> None:
         else:
             os.environ["REPRO_FASTPATH"] = saved
     print(f"\n=== {mode} engine: {result.events_processed} events, "
-          f"{len(result.records)} deliveries ===")
+          f"{len(result.delivery)} deliveries ===")
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats("cumulative").print_stats(top)
 

@@ -19,8 +19,9 @@ Quick start::
     adversary = BaselineAdversary(FlowKnowledge(
         transmission_delay=1.0, mean_delay_per_hop=30.0,
         buffer_capacity=10, n_sources=4))
-    estimates = adversary.estimate_all(result.flow_observations(flow_id=1))
-    metrics = summarize_flow(result.flow_records(flow_id=1), estimates)
+    flow = result.delivery.take(result.flow_indices(flow_id=1))
+    estimates = adversary.estimate_all(flow)
+    metrics = summarize_flow(flow, estimates)
     print(f"MSE = {metrics.mse:.0f}, mean latency = {metrics.latency.mean:.1f}")
 
 Subpackages

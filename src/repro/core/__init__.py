@@ -47,7 +47,7 @@ from repro.core.delays import (
     ParetoDelay,
     UniformDelay,
 )
-from repro.core.metrics import FlowMetrics, LatencyStats, PacketRecord, summarize_flow
+from repro.core.metrics import FlowMetrics, LatencyStats, summarize_flow
 from repro.core.optimizer import (
     OptimizedAllocation,
     VarianceOptimalPlanner,
@@ -99,7 +99,6 @@ __all__ = [
     "FlowKnowledge",
     "FlowMetrics",
     "LatencyStats",
-    "PacketRecord",
     "summarize_flow",
     "DelayPlan",
     "UniformPlanner",

@@ -18,27 +18,25 @@ buffer capacity k.  Three estimators of increasing sophistication:
   estimate from ``1/mu`` to ``n k / lambda_tot``.
 
 Every adversary has one estimator: :meth:`Adversary.estimate_all`
-validates the arrival order, reads the tap columns (arrival time, hop
-count, origin) of a run's :class:`~repro.sim.results.DeliveryLog` or of
-a sequence of :class:`~repro.net.packet.PacketObservation` -- neither
-carries ground truth into the estimate -- and hands them to the
-subclass's columnar :meth:`~Adversary._estimates`.  Each estimate is a
-pure function of the stream passed in.  The per-packet scalar formulas
-live in ``tests/oracles.py`` as the oracle these columns are checked
-against.
+reads a run's :class:`~repro.sim.results.DeliveryLog` only through
+:meth:`~repro.sim.results.DeliveryLog.observation_arrays` -- arrival
+time, hop count and origin, no ground truth -- validates the arrival
+order and hands the columns to the subclass's columnar
+:meth:`~Adversary._estimates`.  Each estimate is a pure function of
+the stream passed in.  The per-packet scalar formulas live in
+``tests/oracles.py`` as the oracle these columns are checked against.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.net.packet import PacketObservation
 from repro.queueing.erlang import erlang_b, erlang_b_batch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -95,40 +93,22 @@ class FlowKnowledge:
             raise ValueError("need at least one source")
 
 
-def _columns(
-    observations: "Sequence[PacketObservation] | DeliveryLog",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(arrival_times, hop_counts, origins)`` as float64, float64, int64.
-
-    A :class:`~repro.sim.results.DeliveryLog` hands over its own
-    columns; only a sequence of observations is looped over.
-    """
-    if not isinstance(observations, Sequence):
-        return observations.observation_arrays()
-    arrivals = np.array([o.arrival_time for o in observations], dtype=np.float64)
-    hops = np.array([o.hop_count for o in observations], dtype=np.float64)
-    origins = np.array([o.origin for o in observations], dtype=np.int64)
-    return arrivals, hops, origins
-
-
 class Adversary(abc.ABC):
     """Creation-time estimator run over an arrival-ordered sink stream."""
 
     def __init__(self, knowledge: FlowKnowledge) -> None:
         self.knowledge = knowledge
 
-    def estimate_all(
-        self, observations: "Sequence[PacketObservation] | DeliveryLog"
-    ) -> list[float]:
+    def estimate_all(self, delivery: "DeliveryLog") -> list[float]:
         """Estimated creation time of every packet, in input order.
 
-        ``observations`` is a sequence of observations or a run's
-        :class:`~repro.sim.results.DeliveryLog`, and must be in arrival
-        order.
+        ``delivery`` is a run's :class:`~repro.sim.results.DeliveryLog`
+        (or a :meth:`~repro.sim.results.DeliveryLog.take` of it), in
+        arrival order.
         """
-        if not len(observations):
+        if not len(delivery):
             return []
-        arrivals, hops, origins = _columns(observations)
+        arrivals, hops, origins = delivery.observation_arrays()
         steps = np.diff(arrivals)
         if np.any(steps < 0):
             offender = int(np.argmax(steps < 0))

@@ -21,13 +21,15 @@ both halves.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
 from repro.core.adversary import Adversary, FlowKnowledge
 from repro.infotheory.deconvolution import em_deconvolve
-from repro.net.packet import PacketObservation
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.results import DeliveryLog
 
 __all__ = ["EmpiricalBayesAdversary", "erlang_path_delay_pdf"]
 
@@ -61,9 +63,10 @@ def erlang_path_delay_pdf(
 class EmpiricalBayesAdversary(Adversary):
     """Two-stage attack: EM-learned prior + posterior-mean estimates.
 
-    Call :meth:`fit` with the full observation stream first (the EM
-    stage needs the whole arrival histogram); :meth:`estimate_all` then
-    produces the per-packet posterior means.
+    Call :meth:`fit` with the run's full
+    :class:`~repro.sim.results.DeliveryLog` first (the EM stage needs
+    the whole arrival histogram); :meth:`estimate_all` then produces
+    the per-packet posterior means.
 
     Parameters
     ----------
@@ -94,24 +97,24 @@ class EmpiricalBayesAdversary(Adversary):
         self._posterior_mean: dict[int, Callable[[float], float]] = {}
 
     # ------------------------------------------------------------------
-    def fit(self, observations: list[PacketObservation]) -> None:
-        """Stage 1: learn each flow's creation-time prior by EM."""
-        if not observations:
+    def fit(self, delivery: "DeliveryLog") -> None:
+        """Stage 1: learn each flow's creation-time prior by EM.
+
+        Reads ``delivery`` only through
+        :meth:`~repro.sim.results.DeliveryLog.observation_arrays`.
+        """
+        if not len(delivery):
             raise ValueError("cannot fit on zero observations")
-        per_origin: dict[int, list[float]] = {}
-        for observation in observations:
-            per_origin.setdefault(observation.origin, []).append(
-                observation.arrival_time
-            )
+        all_arrivals, _, origins = delivery.observation_arrays()
         self._posterior_mean.clear()
-        for origin, arrivals_list in per_origin.items():
+        for origin in np.unique(origins).tolist():
             hops = self._hops_for(origin)
             delay_pdf = erlang_path_delay_pdf(
                 hops,
                 self.knowledge.mean_delay_per_hop,
                 self.knowledge.transmission_delay,
             )
-            arrivals = np.asarray(arrivals_list, dtype=float)
+            arrivals = all_arrivals[origins == origin]
             grid = np.arange(0.0, arrivals.max() + self.grid_step, self.grid_step)
             prior = em_deconvolve(arrivals, delay_pdf, grid)
             self._posterior_mean[origin] = self._make_estimator(

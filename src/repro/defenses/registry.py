@@ -30,6 +30,7 @@ from __future__ import annotations
 import abc
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -307,10 +308,12 @@ class PhantomDefense(_BoundedDelayDefense):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.walk_length < 1:
+        walk = self.walk_length
+        if isinstance(walk, bool) or not isinstance(walk, numbers.Integral):
+            raise ValueError(f"walk_length must be an integer, got {walk!r}")
+        if walk < 1:
             raise ValueError(
-                f"walk length must be at least 1, got {self.walk_length} "
-                "(0 is plain rcad)"
+                f"walk_length must be at least 1, got {walk} (0 is plain rcad)"
             )
 
     def materialize(self, context: DefenseContext) -> DefenseMaterialization:

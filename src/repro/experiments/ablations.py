@@ -15,11 +15,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
 from scipy import stats as scipy_stats
 
 from repro.core.adversary import BaselineAdversary, FlowKnowledge
@@ -103,11 +101,9 @@ def victim_policy_ablation(
         )
         result = run_simulation(config)
         metrics = score_flow(result, build_adversary("baseline", "rcad"), flow_id)
-        records = result.flow_records(flow_id)
-        hop_count = records[0].hop_count
-        artificial = np.array(
-            [r.latency - hop_count * PAPER_TX_DELAY for r in records]
-        )
+        records = result.delivery.take(result.flow_indices(flow_id))
+        hop_count = int(records.hop_count[0])
+        artificial = records.latency() - hop_count * PAPER_TX_DELAY
         # Intended shape: sum of h Exp(mu) delays = Erlang(h, mu).
         ks = scipy_stats.kstest(
             artificial,

@@ -139,11 +139,11 @@ def asset_tracking_experiment(
             result = run_simulation(config)
 
             adversary = TrackingAdversary(estimator, deployment.positions)
-            estimate = adversary.reconstruct(result.observations)
+            estimate = adversary.reconstruct(result.delivery)
             error = mean_localization_error(trajectory, estimate, time_step=5.0)
 
-            time_estimates = estimator.estimate_all(result.observations)
-            truths = np.array([r.created_at for r in result.records])
+            time_estimates = estimator.estimate_all(result.delivery)
+            truths = result.delivery.created_at
             time_rmse = float(
                 np.sqrt(np.mean((np.array(time_estimates) - truths) ** 2))
             )

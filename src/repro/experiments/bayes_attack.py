@@ -107,11 +107,11 @@ def bayes_attack_experiment(
         }
         if mean_delay > 0:
             bayes = EmpiricalBayesAdversary(knowledge, hop_counts={source: hops})
-            bayes.fit(result.observations)
+            bayes.fit(result.delivery)
             adversaries["empirical-bayes"] = bayes
         for name, adversary in adversaries.items():
-            estimates = adversary.estimate_all(result.observations)
-            metrics = summarize_flow(result.records, estimates)
+            estimates = adversary.estimate_all(result.delivery)
+            metrics = summarize_flow(result.delivery, estimates)
             rows.append(
                 BayesAttackRow(
                     case=case,

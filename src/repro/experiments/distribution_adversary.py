@@ -113,7 +113,7 @@ def distribution_adversary_experiment(
             seed=seed,
         )
         result = run_simulation(config)
-        arrivals = np.array([o.arrival_time for o in result.observations])
+        arrivals = result.delivery.arrival_time
 
         # The adversary's delay model: h*tau transmission shift plus,
         # for the delayed cases, the *nominal* Erlang(h, mu) sum of

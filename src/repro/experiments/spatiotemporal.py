@@ -122,8 +122,8 @@ def spatiotemporal_experiment(
                     n_sources=1,
                 )
             )
-            estimates = timing_adversary.estimate_all(result.observations)
-            metrics = summarize_flow(result.records, estimates)
+            estimates = timing_adversary.estimate_all(result.delivery)
+            metrics = summarize_flow(result.delivery, estimates)
 
             hunter = BacktracingAdversary(sink=deployment.sink)
             outcome = hunter.hunt(result.transmissions, target_source=source)

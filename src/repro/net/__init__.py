@@ -9,7 +9,7 @@ TinyOS MultiHop-style cleartext header next to an encrypted payload.
 """
 
 from repro.net.link import ConstantDelayLink, LossyLink
-from repro.net.packet import Packet, PacketObservation, RoutingHeader
+from repro.net.packet import Packet, RoutingHeader
 from repro.net.routing import (
     DisconnectedDeploymentError,
     RoutingTree,
@@ -27,7 +27,6 @@ from repro.net.topology import (
 
 __all__ = [
     "Packet",
-    "PacketObservation",
     "RoutingHeader",
     "ConstantDelayLink",
     "LossyLink",

@@ -11,10 +11,11 @@ The split between header and payload is the crux of the threat model
   creation timestamp) is encrypted and authenticated by
   :mod:`repro.crypto`; the adversary cannot open it.
 
-:class:`PacketObservation` is the *only* view handed to adversary
-implementations -- constructing it strips everything but the cleartext
-header and the observed arrival time, enforcing the threat model by
-construction rather than by convention.
+At the sink the header fields land in a run's
+:class:`~repro.sim.results.DeliveryLog` beside the arrival time and the
+simulator's ground truth.  Adversaries read that log only through
+:meth:`~repro.sim.results.DeliveryLog.observation_arrays`, which hands
+over arrival times, hop counts and origins and nothing else.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.crypto.payload import SealedPayload
 
-__all__ = ["RoutingHeader", "Packet", "PacketObservation"]
+__all__ = ["RoutingHeader", "Packet"]
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,7 @@ class Packet:
 
     ``created_at`` duplicates the (encrypted) payload timestamp for the
     simulator's own bookkeeping; the sink cross-checks it against the
-    decrypted payload, and adversaries never see it (they receive
-    :class:`PacketObservation` instead).
+    decrypted payload, and adversaries never see it.
     """
 
     header: RoutingHeader
@@ -72,31 +72,3 @@ class Packet:
     flow_id: int
     created_at: float
     packet_id: int
-
-    def observe(self, arrival_time: float) -> "PacketObservation":
-        """The eavesdropper's view of this packet arriving at the sink."""
-        return PacketObservation(
-            arrival_time=arrival_time,
-            previous_hop=self.header.previous_hop,
-            origin=self.header.origin,
-            routing_seq=self.header.routing_seq,
-            hop_count=self.header.hop_count,
-        )
-
-
-@dataclass(frozen=True)
-class PacketObservation:
-    """What the adversary sees: arrival time and cleartext header only.
-
-    There is deliberately no reference back to the :class:`Packet`, no
-    payload, and no creation time.  The adversary identifies the flow
-    by the cleartext origin id and reads the path length from the hop
-    count, exactly the two pieces of network knowledge the paper grants
-    (Section 2.1).
-    """
-
-    arrival_time: float
-    previous_hop: int
-    origin: int
-    routing_seq: int
-    hop_count: int

@@ -5,7 +5,8 @@ models create packets at source nodes; every node on the routing path
 buffers each packet under the configured buffer discipline and delay
 plan; links impose the constant per-hop transmission delay; the sink
 decrypts payloads for ground truth while the adversary tap records only
-cleartext observations.
+cleartext observations, both as columns of one
+:class:`~repro.sim.results.DeliveryLog`.
 
 Typical use::
 
@@ -13,7 +14,8 @@ Typical use::
 
     config = SimulationConfig.paper_baseline(interarrival=2.0)
     result = SensorNetworkSimulator(config).run()
-    print(result.flow_records(flow_id=1)[:3])
+    flow = result.delivery.take(result.flow_indices(flow_id=1))
+    print(flow.created_at[:3], flow.arrival_time[:3])
 """
 
 from repro.sim.config import BufferSpec, FlowSpec, SimulationConfig

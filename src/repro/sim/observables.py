@@ -10,9 +10,10 @@ down to the last float bit, as the reference event-driven engine.
 SimulationResult` to a canonical SHA-256 via the same stable encoding
 the result cache uses.  The digest covers
 
-* the adversary surface: observations, retransmission log, and (when
-  recorded) the transmission log;
-* ground truth: delivery records and drop records, in arrival order;
+* the adversary surface: the delivery log's tap columns, the
+  retransmission log, and (when recorded) the transmission log;
+* ground truth: the delivery log's ground-truth columns and the drop
+  records, in arrival order;
 * per-node statistics including the float occupancy-time integrals --
   summation *order* matters, so a vectorized integral that accumulates
   in a different order is caught here;
@@ -48,22 +49,28 @@ __all__ = ["observable_view", "observable_digest", "reference_configs"]
 
 def observable_view(result: "SimulationResult") -> dict:
     """Canonical, order-preserving view of everything a run produced."""
+    log = result.delivery
+    arrival_time, hop_count = log.arrival_time.tolist(), log.hop_count.tolist()
     view: dict = {
-        "observations": [
-            (o.arrival_time, o.previous_hop, o.origin, o.routing_seq, o.hop_count)
-            for o in result.observations
-        ],
-        "records": [
-            (
-                r.flow_id,
-                r.packet_id,
-                r.created_at,
-                r.delivered_at,
-                r.hop_count,
-                r.preemptions_experienced,
+        "observations": list(
+            zip(
+                arrival_time,
+                log.previous_hop.tolist(),
+                log.origin.tolist(),
+                log.routing_seq.tolist(),
+                hop_count,
             )
-            for r in result.records
-        ],
+        ),
+        "records": list(
+            zip(
+                log.flow_id.tolist(),
+                log.packet_id.tolist(),
+                log.created_at.tolist(),
+                arrival_time,
+                hop_count,
+                log.preemptions.tolist(),
+            )
+        ),
         "node_stats": {
             node: (
                 stats.admitted,

@@ -7,8 +7,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.metrics import PacketRecord
-from repro.net.packet import PacketObservation
 from repro.sim.tracing import PacketTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -74,12 +72,10 @@ class DeliveryLog:
     ``arrival_time`` and ``created_at`` are float64, the rest int32;
     construction raises ``ValueError`` naming any column whose values
     do not fit, and rejects a packet delivered before it was created.
-    The columns are read-only arrays.
+    The columns are read-only arrays, and a pickled log is just its
+    columns.
 
-    :attr:`observations` and :attr:`records` are tuple views of the same
-    rows as :class:`~repro.net.packet.PacketObservation` and
-    :class:`~repro.core.metrics.PacketRecord` objects, built on first
-    access and never pickled: a pickled log is just its columns.
+    Adversaries read a log only through :meth:`observation_arrays`.
 
     Examples
     --------
@@ -87,13 +83,13 @@ class DeliveryLog:
     ...     arrival_time=[5.0], created_at=[1.0], flow_id=[1], packet_id=[0],
     ...     routing_seq=[0], hop_count=[4], previous_hop=[3], origin=[9],
     ...     preemptions=[0])
-    >>> log.records[0].latency
-    4.0
-    >>> log.observations[0].origin
-    9
+    >>> log.latency().tolist()
+    [4.0]
+    >>> log.origin.tolist()
+    [9]
     """
 
-    __slots__ = DELIVERY_COLUMNS + ("_observations", "_records")
+    __slots__ = DELIVERY_COLUMNS
 
     arrival_time: np.ndarray
     created_at: np.ndarray
@@ -151,7 +147,7 @@ class DeliveryLog:
                 f"before being created at {float(self.created_at[first]):g}"
             )
 
-    # --- pickling: the columns only, never the views -------------------
+    # --- pickling: the columns only ------------------------------------
     def __getstate__(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, name) for name in DELIVERY_COLUMNS)
 
@@ -163,8 +159,6 @@ class DeliveryLog:
         for name, column in zip(DELIVERY_COLUMNS, state):
             column.flags.writeable = False
             setattr(self, name, column)
-        self._observations = None
-        self._records = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -182,56 +176,16 @@ class DeliveryLog:
     def __repr__(self) -> str:
         return f"DeliveryLog({len(self)} deliveries)"
 
-    @property
-    def observations(self) -> tuple[PacketObservation, ...]:
-        """The adversary's view of every delivery, as objects."""
-        if self._observations is None:
-            self._observations = tuple(
-                PacketObservation(
-                    arrival_time=arrival,
-                    previous_hop=previous,
-                    origin=origin,
-                    routing_seq=seq,
-                    hop_count=hops,
-                )
-                for arrival, previous, origin, seq, hops in zip(
-                    self.arrival_time.tolist(),
-                    self.previous_hop.tolist(),
-                    self.origin.tolist(),
-                    self.routing_seq.tolist(),
-                    self.hop_count.tolist(),
-                )
-            )
-        return self._observations
-
-    @property
-    def records(self) -> tuple[PacketRecord, ...]:
-        """The ground truth of every delivery, as objects."""
-        if self._records is None:
-            self._records = tuple(
-                PacketRecord(
-                    flow_id=flow,
-                    packet_id=packet,
-                    created_at=created,
-                    delivered_at=arrival,
-                    hop_count=hops,
-                    preemptions_experienced=preempted,
-                )
-                for flow, packet, created, arrival, hops, preempted in zip(
-                    self.flow_id.tolist(),
-                    self.packet_id.tolist(),
-                    self.created_at.tolist(),
-                    self.arrival_time.tolist(),
-                    self.hop_count.tolist(),
-                    self.preemptions.tolist(),
-                )
-            )
-        return self._records
-
     def observation_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(arrival_times, hop_counts, origins)`` as float64, float64 and
-        int64: the tap columns :meth:`repro.core.adversary.Adversary.estimate_all`
-        reads."""
+        int64: the adversary's only view of the log.
+
+        Every adversary (:meth:`repro.core.adversary.Adversary.estimate_all`,
+        :meth:`repro.core.bayes.EmpiricalBayesAdversary.fit`,
+        :meth:`repro.tracking.adversary.TrackingAdversary.reconstruct`)
+        reads the log through this method alone, so no ground-truth
+        column reaches an estimate.
+        """
         return (
             self.arrival_time,
             self.hop_count.astype(np.float64),
@@ -290,10 +244,10 @@ class SimulationResult:
     """Everything a run produced.
 
     ``delivery`` holds every packet that reached the sink, sorted by
-    arrival time; ``observations[i]`` is the adversary's view of the
-    packet whose ground truth is ``records[i]``.  Keeping both in the
-    interleaved arrival order preserves exactly what a stateful
-    (adaptive) adversary gets to see.
+    arrival time: row ``i`` holds both the adversary's view of a packet
+    and its ground truth.  Keeping the flows interleaved in arrival
+    order preserves exactly what a stateful (adaptive) adversary gets
+    to see; ``delivery.take(flow_indices(f))`` is one flow's rows.
     """
 
     delivery: DeliveryLog = field(default_factory=DeliveryLog)
@@ -333,18 +287,6 @@ class SimulationResult:
     simulated time, so it caches and pickles with the result."""
 
     # ------------------------------------------------------------------
-    @property
-    def observations(self) -> tuple[PacketObservation, ...]:
-        """Read-only object view of the adversary's tap (see
-        :attr:`DeliveryLog.observations`)."""
-        return self.delivery.observations
-
-    @property
-    def records(self) -> tuple[PacketRecord, ...]:
-        """Read-only object view of the ground truth (see
-        :attr:`DeliveryLog.records`)."""
-        return self.delivery.records
-
     def flow_ids(self) -> list[int]:
         """Distinct flow ids present in the delivery log."""
         return np.unique(self.delivery.flow_id).tolist()
@@ -352,16 +294,6 @@ class SimulationResult:
     def flow_indices(self, flow_id: int) -> list[int]:
         """Positions of one flow's packets within the arrival order."""
         return np.flatnonzero(self.delivery.flow_id == flow_id).tolist()
-
-    def flow_records(self, flow_id: int) -> list[PacketRecord]:
-        """One flow's delivered packets, in arrival order."""
-        records = self.records
-        return [records[i] for i in self.flow_indices(flow_id)]
-
-    def flow_observations(self, flow_id: int) -> list[PacketObservation]:
-        """One flow's observations, in arrival order."""
-        observations = self.observations
-        return [observations[i] for i in self.flow_indices(flow_id)]
 
     def delivered_count(self, flow_id: int | None = None) -> int:
         """Packets delivered (optionally restricted to one flow)."""
@@ -402,6 +334,6 @@ class SimulationResult:
             latency = latency[self.delivery.flow_id == flow_id]
         if not latency.size:
             raise ValueError(f"no delivered packets for flow {flow_id!r}")
-        # A sequential Python fold, as over the per-packet objects:
-        # np.sum's pairwise summation would round differently.
+        # A sequential Python fold: np.sum's pairwise summation would
+        # round differently and change the published figures.
         return float(sum(latency.tolist()) / latency.size)

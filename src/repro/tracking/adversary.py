@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from repro.core.adversary import Adversary
-from repro.net.packet import PacketObservation
 from repro.tracking.trajectory import Trajectory
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.results import DeliveryLog
 
 __all__ = ["TrajectoryEstimate", "TrackingAdversary", "mean_localization_error"]
 
@@ -78,21 +80,22 @@ class TrackingAdversary:
         self.time_estimator = time_estimator
         self.positions = dict(positions)
 
-    def reconstruct(
-        self, observations: Sequence[PacketObservation]
-    ) -> TrajectoryEstimate:
-        """Build the track estimate from an arrival-ordered stream."""
-        if not observations:
+    def reconstruct(self, delivery: "DeliveryLog") -> TrajectoryEstimate:
+        """Build the track estimate from an arrival-ordered delivery log.
+
+        Reads ``delivery`` only through
+        :meth:`~repro.sim.results.DeliveryLog.observation_arrays`.
+        """
+        if not len(delivery):
             raise ValueError("cannot reconstruct a track from zero observations")
-        estimates = self.time_estimator.estimate_all(list(observations))
+        estimates = self.time_estimator.estimate_all(delivery)
+        _, _, origins = delivery.observation_arrays()
         pins = []
-        for observation, estimated_time in zip(observations, estimates):
+        for origin, estimated_time in zip(origins.tolist(), estimates):
             try:
-                position = self.positions[observation.origin]
+                position = self.positions[origin]
             except KeyError:
-                raise KeyError(
-                    f"adversary has no position for origin {observation.origin}"
-                )
+                raise KeyError(f"adversary has no position for origin {origin}")
             pins.append((estimated_time, position))
         pins.sort(key=lambda pin: pin[0])
         return TrajectoryEstimate(

@@ -121,14 +121,15 @@ def replay_node(capacity, policy, arrival_times, release_times, rng=None):
 # Adversary scoring and KSG neighbour counts.
 
 
-def estimate_all_scalar(adversary, observations) -> list[float]:
-    """``adversary.estimate_all(observations)``, one packet at a time.
+def estimate_all_scalar(adversary, delivery) -> list[float]:
+    """``adversary.estimate_all(delivery)``, one packet at a time.
 
     Re-derives every estimate from the adversary's public parameters
-    with the paper's per-packet formulas and scalar :func:`erlang_b`; it
-    calls none of the adversary's own estimation code.  The adaptive
-    adversary's rate after the ``count``-th arrival is
-    ``(count - 1) / (z - z_first)``.
+    and the ``arrival_time``, ``hop_count`` and ``origin`` columns of
+    the :class:`~repro.sim.results.DeliveryLog`, with the paper's
+    per-packet formulas and scalar :func:`erlang_b`; it calls none of
+    the adversary's own code.  The adaptive adversary's rate after the
+    ``count``-th arrival is ``(count - 1) / (z - z_first)``.
     """
     knowledge = adversary.knowledge
     tau = knowledge.transmission_delay
@@ -157,8 +158,12 @@ def estimate_all_scalar(adversary, observations) -> list[float]:
     previous = -math.inf
     first = None
     estimates = []
-    for count, observation in enumerate(observations, start=1):
-        z, h = observation.arrival_time, observation.hop_count
+    rows = zip(
+        delivery.arrival_time.tolist(),
+        delivery.hop_count.tolist(),
+        delivery.origin.tolist(),
+    )
+    for count, (z, h, origin) in enumerate(rows, start=1):
         if z < previous:
             raise ValueError(
                 "observations must be supplied in arrival order; "
@@ -180,9 +185,9 @@ def estimate_all_scalar(adversary, observations) -> list[float]:
                     extra = min(knowledge.n_sources * capacity / rate, mean)
             estimates.append(z - h * (tau + extra))
         elif path_extra:
-            if observation.origin not in path_extra:
-                raise KeyError(f"no path knowledge for origin {observation.origin}")
-            estimates.append(z - h * tau - path_extra[observation.origin])
+            if origin not in path_extra:
+                raise KeyError(f"no path knowledge for origin {origin}")
+            estimates.append(z - h * tau - path_extra[origin])
         else:
             raise TypeError(f"no scalar oracle for {kind.__name__}")
     return estimates

@@ -12,15 +12,19 @@ from repro.core.adversary import (
     NaiveAdversary,
     PathAwareAdaptiveAdversary,
 )
-from repro.net.packet import PacketObservation
 from repro.queueing.erlang import erlang_b
+
+from .taps import tap_log
 
 
 def _obs(arrival, hops=15, origin=103):
-    return PacketObservation(
-        arrival_time=arrival, previous_hop=1, origin=origin,
-        routing_seq=0, hop_count=hops,
-    )
+    """One sink arrival: ``(arrival_time, hop_count, origin)``."""
+    return (arrival, hops, origin)
+
+
+def _log(rows):
+    arrivals, hops, origins = zip(*rows)
+    return tap_log(arrivals, hops, origins)
 
 
 RCAD_KNOWLEDGE = FlowKnowledge(
@@ -52,7 +56,7 @@ class TestFlowKnowledge:
 
 
 def _estimate(adversary, observation):
-    return adversary.estimate_all([observation])[0]
+    return adversary.estimate_all(_log([observation]))[0]
 
 
 class TestNaiveAdversary:
@@ -86,11 +90,11 @@ class TestBaselineAdversary:
     def test_estimate_all_requires_arrival_order(self):
         adversary = BaselineAdversary(RCAD_KNOWLEDGE)
         with pytest.raises(ValueError):
-            adversary.estimate_all([_obs(10.0), _obs(5.0)])
+            adversary.estimate_all(_log([_obs(10.0), _obs(5.0)]))
 
     def test_estimate_all_maps_each(self):
         adversary = BaselineAdversary(RCAD_KNOWLEDGE)
-        estimates = adversary.estimate_all([_obs(500.0), _obs(600.0)])
+        estimates = adversary.estimate_all(_log([_obs(500.0), _obs(600.0)]))
         assert estimates == [pytest.approx(35.0), pytest.approx(135.0)]
 
 
@@ -103,8 +107,8 @@ class TestAdaptiveAdversary:
     def test_low_rate_behaves_like_baseline(self):
         # Aggregate rate 0.05 -> rho = 1.5 on k = 10: loss ~ 0.
         stream = _uniform(rate=0.05) + [_obs(arrival=(200 / 0.05) + 100.0)]
-        estimates = AdaptiveAdversary(RCAD_KNOWLEDGE).estimate_all(stream)
-        baseline = BaselineAdversary(RCAD_KNOWLEDGE).estimate_all(stream)
+        estimates = AdaptiveAdversary(RCAD_KNOWLEDGE).estimate_all(_log(stream))
+        baseline = BaselineAdversary(RCAD_KNOWLEDGE).estimate_all(_log(stream))
         assert estimates == pytest.approx(baseline)
 
     def test_high_rate_switches_to_saturation_estimate(self):
@@ -114,28 +118,28 @@ class TestAdaptiveAdversary:
         # Per-hop extra: n k / lambda_tot = 4 * 10 / 2 = 20.
         obs = _obs(arrival=200 / 2.0 + 0.5, hops=15)
         stream = _uniform(rate=2.0) + [obs]
-        estimates = AdaptiveAdversary(RCAD_KNOWLEDGE).estimate_all(stream)
-        expected = obs.arrival_time - 15 * (1.0 + 20.0)
+        estimates = AdaptiveAdversary(RCAD_KNOWLEDGE).estimate_all(_log(stream))
+        expected = obs[0] - 15 * (1.0 + 20.0)
         assert estimates[-1] == pytest.approx(expected, abs=3.0)
 
     def test_clamp_caps_at_advertised_mean(self):
         # Rate 0.4: rho = 12 > threshold load, but n k / lambda = 100 > 30.
         stream = _uniform(rate=0.4) + [_obs(arrival=200 / 0.4 + 2.0, hops=15)]
-        estimates = AdaptiveAdversary(RCAD_KNOWLEDGE).estimate_all(stream)
-        baseline = BaselineAdversary(RCAD_KNOWLEDGE).estimate_all(stream)
+        estimates = AdaptiveAdversary(RCAD_KNOWLEDGE).estimate_all(_log(stream))
+        baseline = BaselineAdversary(RCAD_KNOWLEDGE).estimate_all(_log(stream))
         assert estimates[-1] == pytest.approx(baseline[-1], rel=1e-6)
         # The stream is in the preemption regime: with one source the
         # drain time k / lambda = 25 < 30 shows through the cap.
         one_source = FlowKnowledge(
             transmission_delay=1.0, mean_delay_per_hop=30.0, buffer_capacity=10
         )
-        uncapped = AdaptiveAdversary(one_source).estimate_all(stream)
+        uncapped = AdaptiveAdversary(one_source).estimate_all(_log(stream))
         assert uncapped[-1] > baseline[-1] + 15 * 4.0
 
     def test_warmup_behaves_like_baseline(self):
         stream = _uniform(rate=2.0, count=WARMUP_OBSERVATIONS)
-        estimates = AdaptiveAdversary(RCAD_KNOWLEDGE).estimate_all(stream)
-        baseline = BaselineAdversary(RCAD_KNOWLEDGE).estimate_all(stream)
+        estimates = AdaptiveAdversary(RCAD_KNOWLEDGE).estimate_all(_log(stream))
+        baseline = BaselineAdversary(RCAD_KNOWLEDGE).estimate_all(_log(stream))
         assert estimates[:-1] == baseline[:-1]
         assert estimates[-1] > baseline[-1]
 
@@ -143,18 +147,18 @@ class TestAdaptiveAdversary:
         # Rate 2.0: the regime switch sits exactly at E(2.0 * 30, 10).
         stream = _uniform(rate=2.0)
         loss = erlang_b(2.0 * 30.0, 10)
-        baseline = BaselineAdversary(RCAD_KNOWLEDGE).estimate_all(stream)
+        baseline = BaselineAdversary(RCAD_KNOWLEDGE).estimate_all(_log(stream))
         below = AdaptiveAdversary(RCAD_KNOWLEDGE, preemption_threshold=loss * 0.99)
         above = AdaptiveAdversary(RCAD_KNOWLEDGE, preemption_threshold=loss * 1.01)
-        assert below.estimate_all(stream)[-1] > baseline[-1]
-        assert above.estimate_all(stream) == baseline
+        assert below.estimate_all(_log(stream))[-1] > baseline[-1]
+        assert above.estimate_all(_log(stream)) == baseline
 
     def test_estimates_depend_only_on_the_stream(self):
         adversary = AdaptiveAdversary(RCAD_KNOWLEDGE)
         stream = _uniform(rate=2.0)
-        first = adversary.estimate_all(stream)
-        adversary.estimate_all(_uniform(rate=0.05))
-        assert adversary.estimate_all(stream) == first
+        first = adversary.estimate_all(_log(stream))
+        adversary.estimate_all(_log(_uniform(rate=0.05)))
+        assert adversary.estimate_all(_log(stream)) == first
 
     def test_requires_capacity_and_delay(self):
         with pytest.raises(ValueError):
@@ -194,7 +198,7 @@ class TestPathAwareAdversary:
             RCAD_KNOWLEDGE, path_rates=self.PATH_RATES
         )
         with pytest.raises(KeyError, match="999"):
-            adversary.estimate_all([_obs(arrival=10.0, origin=999)])
+            adversary.estimate_all(_log([_obs(arrival=10.0, origin=999)]))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,9 @@ import pytest
 
 from repro.core.adversary import FlowKnowledge
 from repro.core.bayes import EmpiricalBayesAdversary, erlang_path_delay_pdf
-from repro.net.packet import PacketObservation
+from repro.sim.results import DeliveryLog
+
+from .taps import tap_log
 
 KNOWLEDGE = FlowKnowledge(
     transmission_delay=1.0, mean_delay_per_hop=30.0,
@@ -14,10 +16,7 @@ KNOWLEDGE = FlowKnowledge(
 
 
 def _obs(arrival, origin=5, hops=3):
-    return PacketObservation(
-        arrival_time=arrival, previous_hop=0, origin=origin,
-        routing_seq=0, hop_count=hops,
-    )
+    return tap_log([arrival], hops=hops, origins=origin)
 
 
 class TestErlangPathDelayPdf:
@@ -61,15 +60,12 @@ class TestEmpiricalBayesAdversary:
         delays = rng.gamma(hops, 30.0, size=n) + hops * 1.0
         arrivals = creation + delays
         order = np.argsort(arrivals)
-        observations = [
-            _obs(float(arrivals[i]), origin=origin, hops=hops) for i in order
-        ]
-        return creation[order], observations
+        return creation[order], tap_log(arrivals[order], hops=hops, origins=origin)
 
     def test_requires_fit_before_estimate(self):
         adversary = EmpiricalBayesAdversary(KNOWLEDGE, hop_counts={5: 3})
         with pytest.raises(RuntimeError):
-            adversary.estimate_all([_obs(10.0)])
+            adversary.estimate_all(_obs(10.0))
 
     def test_beats_mean_subtraction_on_structured_traffic(self):
         rng = np.random.Generator(np.random.PCG64(1))
@@ -78,9 +74,7 @@ class TestEmpiricalBayesAdversary:
         adversary.fit(observations)
         estimates = np.array(adversary.estimate_all(observations))
         bayes_mse = float(np.mean((estimates - truth) ** 2))
-        mean_sub = np.array(
-            [o.arrival_time - 3 * (1.0 + 30.0) for o in observations]
-        )
+        mean_sub = observations.arrival_time - 3 * (1.0 + 30.0)
         baseline_mse = float(np.mean((mean_sub - truth) ** 2))
         assert bayes_mse < 0.7 * baseline_mse
 
@@ -98,9 +92,9 @@ class TestEmpiricalBayesAdversary:
         adversary = EmpiricalBayesAdversary(KNOWLEDGE, hop_counts={5: 3})
         adversary.fit(observations)
         with pytest.raises(KeyError, match="99"):
-            adversary.estimate_all([_obs(500.0, origin=99)])
+            adversary.estimate_all(_obs(500.0, origin=99))
         with pytest.raises(KeyError):
-            adversary.fit([_obs(500.0, origin=99)])
+            adversary.fit(_obs(500.0, origin=99))
 
     def test_reset_forgets_fit(self):
         rng = np.random.Generator(np.random.PCG64(4))
@@ -109,7 +103,7 @@ class TestEmpiricalBayesAdversary:
         adversary.fit(observations)
         adversary.reset()
         with pytest.raises(RuntimeError):
-            adversary.estimate_all(observations[:1])
+            adversary.estimate_all(observations.take([0]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -122,7 +116,7 @@ class TestEmpiricalBayesAdversary:
             EmpiricalBayesAdversary(KNOWLEDGE, hop_counts={5: 3}, grid_step=0.0)
         adversary = EmpiricalBayesAdversary(KNOWLEDGE, hop_counts={5: 3})
         with pytest.raises(ValueError):
-            adversary.fit([])
+            adversary.fit(DeliveryLog())
 
 
 class TestBayesAttackExperiment:

@@ -12,14 +12,18 @@ from repro.core.adversary import (
     FlowKnowledge,
     NaiveAdversary,
 )
-from repro.core.metrics import PacketRecord, summarize_flow
+from repro.core.metrics import FlowMetrics, LatencyStats, summarize_flow
 from repro.experiments.fig2 import CASE_LABELS
+from repro.infotheory.mmse import mse_of_estimator
 from repro.runtime import ResultCache
 from repro.runtime.cache import _frame_payload
 from repro.runtime.fingerprint import stable_fingerprint
 from repro.sim.config import SimulationConfig
+from repro.sim.observables import observable_view
 from repro.sim.results import DELIVERY_COLUMNS, DeliveryLog
 from repro.sim.simulator import SensorNetworkSimulator
+
+from .oracles import estimate_all_scalar
 
 
 def _log(**overrides):
@@ -79,7 +83,7 @@ class TestColumns:
     def test_empty_log(self):
         log = DeliveryLog()
         assert len(log) == 0
-        assert log.records == () and log.observations == ()
+        assert all(len(column) == 0 for column in log.observation_arrays())
 
     def test_take_selects_rows_in_order(self):
         sub = _log().take([2, 0])
@@ -94,7 +98,6 @@ class TestPickle:
         restored = pickle.loads(pickle.dumps(log, protocol=pickle.HIGHEST_PROTOCOL))
         _assert_same_columns(restored, log)
         assert restored == log
-        assert restored.records == log.records
         with pytest.raises(ValueError):
             restored.created_at[0] = 0.0  # still read-only
 
@@ -103,48 +106,38 @@ class TestPickle:
         (1/lambda = 2, RCAD, 4 sources x 1000 packets) is columns only."""
         config = SimulationConfig.paper_baseline(interarrival=2, case="rcad", seed=0)
         result = SensorNetworkSimulator(config).run()
-        assert len(result.records) == 4000  # views built, and must not pickle
+        assert len(result.delivery) == 4000
         payload = pickle.dumps((1.0, result), protocol=pickle.HIGHEST_PROTOCOL)
         names = {
             arg for _, arg, _ in pickletools.genops(payload) if isinstance(arg, str)
         }
-        assert "PacketRecord" not in names
-        assert "PacketObservation" not in names
+        assert "repro.sim.results" in names
+        assert not names & {"repro.net.packet", "repro.core.metrics"}
         assert len(payload) <= 200_000  # 421 526 B as per-packet objects
 
 
 class TestViews:
-    def test_views_are_tuples_of_packet_objects(self):
-        result = SensorNetworkSimulator(_config()).run()
-        assert isinstance(result.records, tuple)
-        assert isinstance(result.observations, tuple)
-        assert result.records is result.records  # built once
-        with pytest.raises(AttributeError):
-            result.records.append(result.records[0])
-
     def test_views_yield_python_scalars(self):
-        log = _log()
-        record, observation = log.records[1], log.observations[1]
-        assert type(record.created_at) is float and type(record.flow_id) is int
-        assert type(observation.arrival_time) is float
-        assert record == PacketRecord(
-            flow_id=2, packet_id=0, created_at=1.0, delivered_at=6.0,
-            hop_count=4, preemptions_experienced=2,
-        )
-        assert (observation.previous_hop, observation.origin) == (8, 11)
-        assert (observation.routing_seq, observation.hop_count) == (1, 4)
+        """``observable_view`` rows hold Python ``float``/``int``, which
+        the digest's stable encoding needs to stay unchanged."""
+        view = observable_view(SensorNetworkSimulator(_config(n_packets=5)).run())
+        for rows in (view["observations"], view["records"]):
+            assert rows
+            for row in rows:
+                assert {type(value) for value in row} <= {float, int}
+        observation, record = view["observations"][0], view["records"][0]
+        assert type(observation[0]) is float and type(observation[1]) is int
+        assert type(record[2]) is float and type(record[0]) is int
+        assert observation[0] == record[3]  # one arrival time, both rows
 
 
 class TestValidation:
     def test_delivery_before_creation_keeps_the_record_message(self):
-        with pytest.raises(ValueError) as from_record:
-            PacketRecord(
-                flow_id=1, packet_id=1, created_at=2.5, delivered_at=1.25,
-                hop_count=3,
-            )
         with pytest.raises(ValueError) as from_log:
             _log(created_at=[0.0, 1.0, 2.5], arrival_time=[5.0, 6.0, 1.25])
-        assert str(from_log.value) == str(from_record.value)
+        assert str(from_log.value) == (
+            "packet delivered at 1.25 before being created at 2.5"
+        )
 
     def test_first_offending_packet_is_named(self):
         with pytest.raises(ValueError) as excinfo:
@@ -165,7 +158,9 @@ class TestEnginesAgree:
 
 
 class TestScoringReadsColumns:
-    def test_estimates_and_summary_match_the_object_path(self):
+    def test_estimates_and_summary_match_the_scalar_path(self):
+        """The columnar scorers equal per-packet Python arithmetic over
+        the same rows, bit for bit."""
         result = SensorNetworkSimulator(_config(n_packets=200)).run()
         log = result.delivery
         knowledge = FlowKnowledge(
@@ -177,22 +172,36 @@ class TestScoringReadsColumns:
             BaselineAdversary(knowledge),
             AdaptiveAdversary(knowledge),
         ):
-            from_columns = adversary.estimate_all(log)
-            assert from_columns == adversary.estimate_all(result.observations)
+            assert adversary.estimate_all(log) == estimate_all_scalar(adversary, log)
         estimates = BaselineAdversary(knowledge).estimate_all(log)
         rows = result.flow_indices(1)
-        from_columns = summarize_flow(log.take(rows), [estimates[i] for i in rows])
-        from_objects = summarize_flow(
-            result.flow_records(1), [estimates[i] for i in rows]
+        flow_estimates = [estimates[i] for i in rows]
+        flow = log.take(rows)
+        created = flow.created_at.tolist()
+        errors = [e - c for e, c in zip(flow_estimates, created)]
+        preempted = [p for p in flow.preemptions.tolist() if p > 0]
+        assert summarize_flow(flow, flow_estimates) == FlowMetrics(
+            flow_id=1,
+            n_packets=len(rows),
+            mse=mse_of_estimator(created, flow_estimates),
+            mean_error=float(np.mean(errors)),
+            latency=LatencyStats.from_samples(
+                [a - c for a, c in zip(flow.arrival_time.tolist(), created)]
+            ),
+            preemption_fraction=len(preempted) / len(rows),
         )
-        assert from_columns == from_objects
 
     def test_mean_latency_is_a_sequential_fold(self):
         result = SensorNetworkSimulator(_config(n_packets=200)).run()
         for flow in (None, 1, 3):
-            records = result.records if flow is None else result.flow_records(flow)
-            folded = sum(r.latency for r in records) / len(records)
-            assert result.mean_latency(flow) == folded
+            rows = result.delivery
+            if flow is not None:
+                rows = rows.take(result.flow_indices(flow))
+            latencies = [
+                a - c
+                for a, c in zip(rows.arrival_time.tolist(), rows.created_at.tolist())
+            ]
+            assert result.mean_latency(flow) == sum(latencies) / len(latencies)
 
 
 class TestCacheFormat:

@@ -6,12 +6,14 @@ assert on a signature line of its output.
 """
 
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 #: script name -> (argv suffix, a string its stdout must contain)
 EXAMPLES = {
@@ -53,3 +55,17 @@ def test_every_example_is_covered():
         "examples/ and the smoke-test registry disagree: "
         f"missing={on_disk - set(EXAMPLES)}, stale={set(EXAMPLES) - on_disk}"
     )
+
+
+def test_readme_quickstart_runs():
+    """The first ``python`` block of README.md is the quick start."""
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert block is not None, "README.md has no python block"
+    completed = subprocess.run(
+        [sys.executable, "-c", block.group(1)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert "adversary MSE" in completed.stdout, completed.stdout[:2000]

@@ -174,12 +174,13 @@ class TestSimulatorIntegration:
             routing_policy=policy, seed=4,
         )
         result = SensorNetworkSimulator(config).run()
-        hop_counts = {o.hop_count for o in result.observations}
+        hop_counts = set(result.delivery.hop_count.tolist())
         assert all(h >= 9 for h in hop_counts)  # never shorter than tree
         assert any(h > 9 for h in hop_counts)   # walks lengthen paths
         # Header hop counts stay truthful: latency = hops * tau exactly.
-        for record, obs in zip(result.records, result.observations):
-            assert record.latency == pytest.approx(obs.hop_count * 1.0)
+        assert result.delivery.latency() == pytest.approx(
+            result.delivery.hop_count * 1.0
+        )
 
 
 class TestSpatioTemporalExperiment:

@@ -1,8 +1,10 @@
 """Unit tests for packets, headers and adversary observations."""
 
+import numpy as np
 import pytest
 
-from repro.net.packet import Packet, PacketObservation, RoutingHeader
+from repro.net.packet import Packet, RoutingHeader
+from repro.sim.results import DeliveryLog
 
 
 def _packet(**overrides):
@@ -15,6 +17,22 @@ def _packet(**overrides):
     )
     defaults.update(overrides)
     return Packet(**defaults)
+
+
+def _delivered(packet, arrival_time):
+    """The sink's delivery-log row for ``packet`` arriving at ``arrival_time``."""
+    header = packet.header
+    return DeliveryLog(
+        arrival_time=[arrival_time],
+        created_at=[packet.created_at],
+        flow_id=[packet.flow_id],
+        packet_id=[packet.packet_id],
+        routing_seq=[header.routing_seq],
+        hop_count=[header.hop_count],
+        previous_hop=[header.previous_hop],
+        origin=[header.origin],
+        preemptions=[0],
+    )
 
 
 class TestRoutingHeader:
@@ -44,36 +62,30 @@ class TestRoutingHeader:
 
 
 class TestObservation:
+    """What the adversary sees of a delivered packet:
+    :meth:`DeliveryLog.observation_arrays`."""
+
     def test_observation_carries_cleartext_header(self):
-        packet = _packet()
-        obs = packet.observe(arrival_time=99.0)
-        assert obs.arrival_time == 99.0
-        assert obs.origin == 5
-        assert obs.hop_count == 0
-        assert obs.routing_seq == 0
-        assert obs.previous_hop == 5
+        arrivals, hops, origins = _delivered(_packet(), 99.0).observation_arrays()
+        assert arrivals.tolist() == [99.0]
+        assert hops.tolist() == [0]
+        assert origins.tolist() == [5]
 
     def test_observation_has_no_ground_truth_fields(self):
-        """The threat-model firewall: no creation time, no payload."""
-        obs = _packet().observe(arrival_time=99.0)
-        field_names = set(vars(obs))
-        assert "created_at" not in field_names
-        assert "payload" not in field_names
-        assert "flow_id" not in field_names
-        assert "packet" not in field_names
+        """The threat-model firewall: no creation time, flow or packet id."""
+        observed = _delivered(_packet(), 99.0).observation_arrays()
+        other = _packet(created_at=3.0, flow_id=7, packet_id=9)
+        assert len(observed) == 3
+        for ours, theirs in zip(observed, _delivered(other, 99.0).observation_arrays()):
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
 
     def test_observation_is_frozen(self):
-        obs = _packet().observe(arrival_time=1.0)
-        with pytest.raises(AttributeError):
-            obs.arrival_time = 2.0  # type: ignore[misc]
-
-    def test_observation_is_value_type(self):
-        a = _packet().observe(arrival_time=1.0)
-        b = _packet().observe(arrival_time=1.0)
-        assert a == b
-
-    def test_direct_construction(self):
-        obs = PacketObservation(
-            arrival_time=5.0, previous_hop=2, origin=1, routing_seq=7, hop_count=4
-        )
-        assert obs.hop_count == 4
+        """Nothing written through the view reaches the log."""
+        log = _delivered(_packet(), 99.0)
+        arrivals, hops, origins = log.observation_arrays()
+        with pytest.raises(ValueError):
+            arrivals[0] = 100.0
+        hops[0], origins[0] = 99, 99
+        assert log.hop_count.tolist() == [0]
+        assert log.origin.tolist() == [5]

@@ -1,13 +1,11 @@
 """Unit tests for the closed-form RCAD node model."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.adversary import FlowKnowledge, ModelBasedAdversary
 from repro.core.planner import UniformPlanner
-from repro.net.packet import PacketObservation
 from repro.net.routing import shortest_path_tree
 from repro.net.topology import line_deployment
 from repro.queueing.erlang import erlang_b
@@ -16,6 +14,8 @@ from repro.queueing.rcad_model import RcadNodeModel, predicted_rcad_path_latency
 from repro.sim.config import BufferSpec, FlowSpec, SimulationConfig
 from repro.sim.simulator import SensorNetworkSimulator
 from repro.traffic.generators import PoissonTraffic
+
+from .taps import tap_log
 
 
 class TestRcadNodeModel:
@@ -152,17 +152,14 @@ class TestModelBasedAdversary:
     )
 
     def _obs(self, arrival, origin=103, hops=15):
-        return PacketObservation(
-            arrival_time=arrival, previous_hop=0, origin=origin,
-            routing_seq=0, hop_count=hops,
-        )
+        return tap_log([arrival], hops=hops, origins=origin)
 
     def test_estimate_uses_closed_form_delay(self):
         rates = [0.5] * 15
         adversary = ModelBasedAdversary(self.KNOWLEDGE, {103: rates})
         node = RcadNodeModel(arrival_rate=0.5, service_rate=1 / 30, capacity=10)
         expected_extra = 15 * node.mean_delay
-        [estimate] = adversary.estimate_all([self._obs(1000.0)])
+        [estimate] = adversary.estimate_all(self._obs(1000.0))
         assert estimate == pytest.approx(1000.0 - 15.0 - expected_extra)
 
     def test_nearly_unbiased_against_rcad(self, rcad_result, paper_tree, paper_deployment):
@@ -207,7 +204,7 @@ class TestModelBasedAdversary:
     def test_unknown_origin_raises(self):
         adversary = ModelBasedAdversary(self.KNOWLEDGE, {103: [0.5]})
         with pytest.raises(KeyError):
-            adversary.estimate_all([self._obs(10.0, origin=7)])
+            adversary.estimate_all(self._obs(10.0, origin=7))
 
     def test_validation(self):
         with pytest.raises(ValueError):

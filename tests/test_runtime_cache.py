@@ -25,12 +25,7 @@ class TestResultCache:
 
         restored = cache.get(config)
         assert restored is not None
-        assert [r.delivered_at for r in restored.records] == [
-            r.delivered_at for r in result.records
-        ]
-        assert [r.created_at for r in restored.records] == [
-            r.created_at for r in result.records
-        ]
+        assert restored.delivery == result.delivery
         assert cache.stats.hits == 1
         assert cache.stats.seconds_saved == 1.25
 
@@ -186,7 +181,7 @@ class TestConcurrentWriters:
 
         config = _config()
         result = SensorNetworkSimulator(config).run()
-        expected = [r.delivered_at for r in result.records]
+        expected = result.delivery.arrival_time.tolist()
         ctx = multiprocessing.get_context("fork")
         barrier = ctx.Barrier(4)
 
@@ -207,7 +202,7 @@ class TestConcurrentWriters:
         while any(p.is_alive() for p in procs) and time.time() < deadline:
             restored = reader.get(config)
             if restored is not None:
-                assert [r.delivered_at for r in restored.records] == expected
+                assert restored.delivery.arrival_time.tolist() == expected
         for p in procs:
             p.join(timeout=60)
             assert p.exitcode == 0
@@ -215,7 +210,7 @@ class TestConcurrentWriters:
 
         final = reader.get(config)
         assert final is not None
-        assert [r.delivered_at for r in final.records] == expected
+        assert final.delivery.arrival_time.tolist() == expected
         assert len(list(reader.iter_entry_paths())) == 1  # one key, one file
         assert not list(tmp_path.rglob("*.tmp"))  # every temp was renamed
 
@@ -284,9 +279,7 @@ class TestRunSimulationCaching:
             second = run_simulation(config)
         assert warm.stats.simulations == 0
         assert warm.cache.stats.hits == 1
-        assert [r.delivered_at for r in second.records] == [
-            r.delivered_at for r in first.records
-        ]
+        assert second.delivery == first.delivery
 
     def test_cold_cell_fingerprints_its_config_once(self, tmp_path, monkeypatch):
         import repro.runtime.cache as cache_module

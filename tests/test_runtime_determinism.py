@@ -19,9 +19,9 @@ def _series(interarrival: float):
     )
     metrics = score_flow(result, build_adversary("adaptive", "rcad"), flow_id=1)
     return (
-        [r.created_at for r in result.records],
-        [r.delivered_at for r in result.records],
-        [r.hop_count for r in result.records],
+        result.delivery.created_at.tolist(),
+        result.delivery.arrival_time.tolist(),
+        result.delivery.hop_count.tolist(),
         metrics,
     )
 

@@ -135,6 +135,10 @@ class TestSpecValidation:
             ("drop-tail", {"mean_delay": -math.inf}, "mean_delay"),
             ("proportional-delay", {"exponent": math.nan}, "exponent"),
             ("proportional-delay", {"exponent": math.inf}, "exponent"),
+            ("phantom", {"walk_length": math.nan}, "walk_length"),
+            ("phantom", {"walk_length": 2.5}, "walk_length"),
+            ("phantom", {"walk_length": 0}, "walk_length"),
+            ("phantom", {"walk_length": True}, "walk_length"),
         ],
     )
     def test_non_finite_delay_parameters_fail_at_parse_time(
@@ -350,7 +354,4 @@ class TestPerNodeCapacity:
                 slow = run_simulation(compiled.config)
             finally:
                 os.environ.pop("REPRO_FASTPATH")
-        assert fast.records == slow.records
-        assert [o.arrival_time for o in fast.observations] == [
-            o.arrival_time for o in slow.observations
-        ]
+        assert fast.delivery == slow.delivery

@@ -64,12 +64,7 @@ class TestNoopEquivalence:
         )
         assert noop.is_noop
         faulted = SensorNetworkSimulator(_config().with_faults(noop)).run()
-        assert [o.arrival_time for o in faulted.observations] == [
-            o.arrival_time for o in baseline.observations
-        ]
-        assert [r.delivered_at for r in faulted.records] == [
-            r.delivered_at for r in baseline.records
-        ]
+        assert faulted.delivery == baseline.delivery
         assert faulted.end_time == baseline.end_time
         assert faulted.total_retransmissions() == 0
         assert faulted.lost_in_transit == 0
@@ -93,9 +88,7 @@ class TestBurstyLoss:
         plan = FaultPlan(bursty_loss=_ge_loss(), jitter=JitterSpec(0.4))
         a = SensorNetworkSimulator(_config().with_faults(plan)).run()
         b = SensorNetworkSimulator(_config().with_faults(plan)).run()
-        assert [o.arrival_time for o in a.observations] == [
-            o.arrival_time for o in b.observations
-        ]
+        assert a.delivery.arrival_time.tolist() == b.delivery.arrival_time.tolist()
         assert a.lost_in_transit == b.lost_in_transit
 
 
@@ -106,9 +99,8 @@ class TestJitter:
         result = SensorNetworkSimulator(config).run()
         assert result.delivered_count() == baseline.delivered_count()
         assert result.lost_in_transit == 0
-        assert [o.arrival_time for o in result.observations] != [
-            o.arrival_time for o in baseline.observations
-        ]
+        arrivals = result.delivery.arrival_time.tolist()
+        assert arrivals != baseline.delivery.arrival_time.tolist()
 
 
 class TestDuplication:

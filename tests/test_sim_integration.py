@@ -155,8 +155,8 @@ class TestQueueTheoryAgreement:
 
 class TestCreationTimesGroundTruth:
     def test_periodic_ground_truth_matches_spec(self, nodelay_result):
-        records = nodelay_result.flow_records(1)
-        created = sorted(r.created_at for r in records)
+        delivery = nodelay_result.delivery
+        created = np.sort(delivery.created_at[delivery.flow_id == 1])
         gaps = np.diff(created)
         assert np.allclose(gaps, 2.0)
 
@@ -165,7 +165,9 @@ class TestCreationTimesGroundTruth:
 
     def test_hop_counts_match_paper(self, rcad_result):
         by_flow = {
-            flow_id: rcad_result.flow_observations(flow_id)[0].hop_count
+            flow_id: int(
+                rcad_result.delivery.hop_count[rcad_result.flow_indices(flow_id)[0]]
+            )
             for flow_id in rcad_result.flow_ids()
         }
         assert by_flow == {1: 15, 2: 22, 3: 9, 4: 11}

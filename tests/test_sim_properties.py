@@ -90,8 +90,8 @@ def test_latency_floor(hops, n_packets, interval, mean_delay, seed):
     result = _simulate(
         hops, n_packets, interval, "infinite", None, mean_delay, seed, poisson=True
     )
-    assert all(record.latency >= hops - 1e-9 for record in result.records)
-    assert all(obs.hop_count == hops for obs in result.observations)
+    assert all(result.delivery.latency() >= hops - 1e-9)
+    assert all(result.delivery.hop_count == hops)
 
 
 @_SETTINGS
@@ -108,12 +108,9 @@ def test_observation_stream_sorted_and_aligned(
     """The adversary's stream is arrival-ordered and aligned with
     ground truth."""
     result = _simulate(hops, n_packets, interval, "rcad", capacity, 30.0, seed)
-    arrivals = [obs.arrival_time for obs in result.observations]
-    assert arrivals == sorted(arrivals)
-    assert len(result.observations) == len(result.records)
-    for obs, record in zip(result.observations, result.records):
-        assert obs.arrival_time == record.delivered_at
-        assert record.created_at <= record.delivered_at
+    arrivals, _, _ = result.delivery.observation_arrays()
+    assert arrivals.tolist() == sorted(arrivals.tolist())
+    assert all(result.delivery.created_at <= arrivals)
 
 
 @_SETTINGS
@@ -127,8 +124,8 @@ def test_observation_stream_sorted_and_aligned(
 def test_same_seed_bitwise_reproducible(hops, n_packets, interval, capacity, seed):
     a = _simulate(hops, n_packets, interval, "rcad", capacity, 30.0, seed)
     b = _simulate(hops, n_packets, interval, "rcad", capacity, 30.0, seed)
-    assert [r.delivered_at for r in a.records] == [r.delivered_at for r in b.records]
-    assert [r.packet_id for r in a.records] == [r.packet_id for r in b.records]
+    assert a.delivery.arrival_time.tolist() == b.delivery.arrival_time.tolist()
+    assert a.delivery.packet_id.tolist() == b.delivery.packet_id.tolist()
 
 
 @_SETTINGS
@@ -146,7 +143,5 @@ def test_preemption_shortens_never_lengthens(hops, n_packets, interval, capacity
     result = _simulate(hops, n_packets, interval, "rcad", capacity, 30.0, seed)
     total_preemptions = sum(s.preemptions for s in result.node_stats.values())
     assert total_preemptions == result.total_preemptions()
-    preempted_packets = sum(
-        1 for r in result.records if r.preemptions_experienced > 0
-    )
+    preempted_packets = int((result.delivery.preemptions > 0).sum())
     assert preempted_packets <= result.delivered_count()

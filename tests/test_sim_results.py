@@ -37,10 +37,11 @@ class TestSimulationResult:
         assert result.flow_indices(2) == [1]
         assert result.flow_indices(99) == []
 
-    def test_flow_records_and_observations(self):
+    def test_take_of_flow_indices_selects_one_flow(self):
         result = _result()
-        assert [r.packet_id for r in result.flow_records(1)] == [0, 2]
-        assert [o.arrival_time for o in result.flow_observations(1)] == [5.0, 9.0]
+        flow = result.delivery.take(result.flow_indices(1))
+        assert flow.packet_id.tolist() == [0, 2]
+        assert flow.arrival_time.tolist() == [5.0, 9.0]
 
     def test_counts(self):
         result = _result()

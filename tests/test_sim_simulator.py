@@ -42,7 +42,7 @@ def _line_config(hops=5, n_packets=20, interval=10.0, case="no-delay",
 class TestNoDelayLine:
     def test_latency_is_exactly_hops_times_tau(self):
         result = SensorNetworkSimulator(_line_config(hops=5)).run()
-        assert all(r.latency == pytest.approx(5.0) for r in result.records)
+        assert result.delivery.latency() == pytest.approx(5.0)
 
     def test_all_packets_delivered(self):
         result = SensorNetworkSimulator(_line_config(n_packets=33)).run()
@@ -51,21 +51,21 @@ class TestNoDelayLine:
 
     def test_hop_count_in_header(self):
         result = SensorNetworkSimulator(_line_config(hops=7)).run()
-        assert all(o.hop_count == 7 for o in result.observations)
+        assert all(result.delivery.hop_count == 7)
 
     def test_origin_preserved(self):
         result = SensorNetworkSimulator(_line_config()).run()
-        assert all(o.origin == 0 for o in result.observations)
+        assert all(result.delivery.origin == 0)
 
     def test_fifo_order_preserved_with_no_delay(self):
         result = SensorNetworkSimulator(_line_config(n_packets=10)).run()
-        packet_ids = [r.packet_id for r in result.records]
+        packet_ids = result.delivery.packet_id.tolist()
         assert packet_ids == sorted(packet_ids)
 
     def test_custom_transmission_delay(self):
         config = _line_config(hops=4, transmission_delay=2.5)
         result = SensorNetworkSimulator(config).run()
-        assert all(r.latency == pytest.approx(10.0) for r in result.records)
+        assert result.delivery.latency() == pytest.approx(10.0)
 
 
 class TestDelayedLine:
@@ -78,41 +78,41 @@ class TestDelayedLine:
     def test_latencies_vary(self):
         config = _line_config(hops=5, n_packets=50, case="unlimited")
         result = SensorNetworkSimulator(config).run()
-        latencies = {round(r.latency, 6) for r in result.records}
+        latencies = {round(x, 6) for x in result.delivery.latency().tolist()}
         assert len(latencies) > 40
 
     def test_observations_sorted_by_arrival(self):
         config = _line_config(hops=5, n_packets=100, case="unlimited")
         result = SensorNetworkSimulator(config).run()
-        arrivals = [o.arrival_time for o in result.observations]
+        arrivals = result.delivery.arrival_time.tolist()
         assert arrivals == sorted(arrivals)
 
     def test_reordering_happens_under_random_delays(self):
         """Independent exponential delays break creation order (§3.2)."""
         config = _line_config(hops=5, n_packets=200, interval=2.0, case="unlimited")
         result = SensorNetworkSimulator(config).run()
-        packet_ids = [r.packet_id for r in result.records]
+        packet_ids = result.delivery.packet_id.tolist()
         assert packet_ids != sorted(packet_ids)
 
     def test_records_aligned_with_observations(self):
         config = _line_config(hops=3, n_packets=50, case="unlimited")
         result = SensorNetworkSimulator(config).run()
-        assert len(result.records) == len(result.observations)
-        for record, obs in zip(result.records, result.observations):
-            assert record.delivered_at == obs.arrival_time
+        arrivals, hops, origins = result.delivery.observation_arrays()
+        assert len(arrivals) == len(hops) == len(origins) == len(result.delivery)
+        assert arrivals.tolist() == result.delivery.arrival_time.tolist()
 
 
 class TestDeterminism:
     def test_same_seed_same_run(self):
         a = SensorNetworkSimulator(_line_config(case="rcad", seed=7, interval=2.0)).run()
         b = SensorNetworkSimulator(_line_config(case="rcad", seed=7, interval=2.0)).run()
-        assert [r.delivered_at for r in a.records] == [r.delivered_at for r in b.records]
+        assert a.delivery.arrival_time.tolist() == b.delivery.arrival_time.tolist()
         assert a.total_preemptions() == b.total_preemptions()
 
     def test_different_seed_different_run(self):
         a = SensorNetworkSimulator(_line_config(case="unlimited", seed=1)).run()
         b = SensorNetworkSimulator(_line_config(case="unlimited", seed=2)).run()
-        assert [r.delivered_at for r in a.records] != [r.delivered_at for r in b.records]
+        assert a.delivery.arrival_time.tolist() != b.delivery.arrival_time.tolist()
 
     def test_simulator_is_single_use(self):
         simulator = SensorNetworkSimulator(_line_config())
@@ -132,7 +132,7 @@ class TestRcadBehaviour:
     def test_preemptions_recorded_per_packet(self):
         config = _line_config(case="rcad", interval=1.0, n_packets=300, capacity=3)
         result = SensorNetworkSimulator(config).run()
-        assert any(r.preemptions_experienced > 0 for r in result.records)
+        assert any(result.delivery.preemptions > 0)
 
     def test_rcad_latency_below_unlimited_at_high_load(self):
         rcad = SensorNetworkSimulator(
@@ -191,9 +191,8 @@ class TestSealedPayloads:
         plain = SensorNetworkSimulator(
             _line_config(case="unlimited", n_packets=40, seal_payloads=False)
         ).run()
-        assert [r.delivered_at for r in sealed.records] == [
-            r.delivered_at for r in plain.records
-        ]
+        arrivals = sealed.delivery.arrival_time.tolist()
+        assert arrivals == plain.delivery.arrival_time.tolist()
 
     def test_sealed_payload_verified_at_sink(self):
         config = _line_config(case="no-delay", n_packets=5, seal_payloads=True)
@@ -224,8 +223,9 @@ class TestMultiFlow:
         result = SensorNetworkSimulator(config).run()
         assert result.delivered_count(flow_id=1) == 50
         assert result.delivered_count(flow_id=2) == 30
-        assert {o.hop_count for o in result.flow_observations(1)} == {6}
-        assert {o.hop_count for o in result.flow_observations(2)} == {4}
+        for flow_id, hops in ((1, 6), (2, 4)):
+            flow = result.delivery.take(result.flow_indices(flow_id))
+            assert set(flow.hop_count.tolist()) == {hops}
 
     def test_flow_filters_are_consistent(self):
         deployment = line_deployment(hops=4)
@@ -241,5 +241,5 @@ class TestMultiFlow:
         result = SensorNetworkSimulator(config).run()
         assert result.flow_ids() == [1, 2]
         indices = result.flow_indices(2)
-        assert all(result.records[i].flow_id == 2 for i in indices)
-        assert len(result.flow_records(1)) == 20
+        assert all(result.delivery.take(indices).flow_id == 2)
+        assert len(result.delivery.take(result.flow_indices(1))) == 20

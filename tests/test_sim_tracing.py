@@ -34,6 +34,13 @@ def _run(case="unlimited", hops=3, n_packets=20, interval=5.0, capacity=2,
     return SensorNetworkSimulator(config).run()
 
 
+def _records(result):
+    """``((flow_id, packet_id), latency, preemptions)`` per delivery."""
+    log = result.delivery
+    keys = zip(log.flow_id.tolist(), log.packet_id.tolist())
+    return zip(keys, log.latency().tolist(), log.preemptions.tolist())
+
+
 class TestTraceEvent:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -94,16 +101,16 @@ class TestRecordedTraces:
 
     def test_latency_matches_record(self):
         result = _run(case="unlimited", hops=3, n_packets=5)
-        for record in result.records:
-            trace = result.packet_traces[(record.flow_id, record.packet_id)]
-            assert trace.end_to_end_latency() == pytest.approx(record.latency)
+        for key, latency, _ in _records(result):
+            trace = result.packet_traces[key]
+            assert trace.end_to_end_latency() == pytest.approx(latency)
 
     def test_buffering_delays_sum_to_artificial_latency(self):
         result = _run(case="unlimited", hops=3, n_packets=5)
-        for record in result.records:
-            trace = result.packet_traces[(record.flow_id, record.packet_id)]
+        for key, latency, _ in _records(result):
+            trace = result.packet_traces[key]
             artificial = sum(d for _, d in trace.buffering_delays())
-            assert artificial == pytest.approx(record.latency - 3.0)  # 3 tx
+            assert artificial == pytest.approx(latency - 3.0)  # 3 tx
 
     def test_preemptions_traced(self):
         result = _run(case="rcad", interval=1.0, n_packets=60, capacity=2)
@@ -112,9 +119,9 @@ class TestRecordedTraces:
         ]
         assert preempted
         # Trace-level preemption counts agree with the records.
-        for record in result.records:
-            trace = result.packet_traces[(record.flow_id, record.packet_id)]
-            assert trace.preemption_count == record.preemptions_experienced
+        for key, _, preemptions in _records(result):
+            trace = result.packet_traces[key]
+            assert trace.preemption_count == preemptions
 
     def test_preempted_packet_left_before_scheduled_release(self):
         result = _run(case="rcad", interval=1.0, n_packets=60, capacity=2)

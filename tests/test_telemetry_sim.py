@@ -33,9 +33,8 @@ class TestTelemetryOffByDefault:
         """Probes observe; they must never perturb the simulation."""
         plain = _run(n_packets=100, telemetry=False)
         instrumented = _run(n_packets=100, telemetry=True)
-        assert [r.latency for r in plain.records] == [
-            r.latency for r in instrumented.records
-        ]
+        latencies = plain.delivery.latency().tolist()
+        assert latencies == instrumented.delivery.latency().tolist()
         assert plain.total_preemptions() == instrumented.total_preemptions()
 
 
@@ -49,7 +48,7 @@ class TestRecordedSeries:
     def test_counters_agree_with_result(self):
         result = _run(n_packets=100)
         counters = result.telemetry.registry.snapshot()["counters"]
-        assert counters["sim/delivered"] == len(result.records)
+        assert counters["sim/delivered"] == len(result.delivery)
         assert counters["sim/preempted"] == result.total_preemptions()
         assert counters.get("sim/dropped", 0) == result.drop_count()
         # Conservation: everything admitted is eventually released.
@@ -58,7 +57,7 @@ class TestRecordedSeries:
     def test_latency_histogram_matches_records(self):
         result = _run(n_packets=100)
         hist = result.telemetry.registry.histogram("latency/flow-1")
-        flow1 = [r.latency for r in result.records if r.flow_id == 1]
+        flow1 = result.delivery.latency()[result.delivery.flow_id == 1].tolist()
         assert hist.count == len(flow1)
         assert hist.sum == pytest.approx(sum(flow1))
         assert hist.min == pytest.approx(min(flow1))

@@ -1,11 +1,9 @@
 """Unit tests for the asset-tracking subpackage."""
 
-import math
-
 import pytest
 
 from repro.core.adversary import FlowKnowledge, NaiveAdversary
-from repro.net.packet import PacketObservation
+from repro.sim.results import DeliveryLog
 from repro.tracking.adversary import (
     TrackingAdversary,
     TrajectoryEstimate,
@@ -13,6 +11,8 @@ from repro.tracking.adversary import (
 )
 from repro.tracking.detection import detect_passes
 from repro.tracking.trajectory import Trajectory, waypoint_trajectory
+
+from .taps import tap_log
 
 
 class TestTrajectory:
@@ -135,11 +135,8 @@ class TestTrajectoryEstimate:
 
 
 class TestTrackingAdversary:
-    def _obs(self, arrival, origin, hops=2):
-        return PacketObservation(
-            arrival_time=arrival, previous_hop=0, origin=origin,
-            routing_seq=0, hop_count=hops,
-        )
+    def _log(self, arrivals, origins, hops=2):
+        return tap_log(arrivals, hops=hops, origins=origins)
 
     def test_exact_times_give_exact_pins(self):
         positions = {10: (0.0, 0.0), 11: (10.0, 0.0)}
@@ -147,9 +144,7 @@ class TestTrackingAdversary:
             NaiveAdversary(FlowKnowledge(transmission_delay=1.0)), positions
         )
         # Packets created at t=0 and t=10, 2 hops each -> arrive +2.
-        estimate = adversary.reconstruct(
-            [self._obs(2.0, 10), self._obs(12.0, 11)]
-        )
+        estimate = adversary.reconstruct(self._log([2.0, 12.0], [10, 11]))
         assert estimate.times == (0.0, 10.0)
         assert estimate.position_at(5.0) == pytest.approx((5.0, 0.0))
 
@@ -159,9 +154,7 @@ class TestTrackingAdversary:
         adversary = TrackingAdversary(
             NaiveAdversary(FlowKnowledge(transmission_delay=0.0)), positions
         )
-        estimate = adversary.reconstruct(
-            [self._obs(2.0, 10), self._obs(12.0, 11)]
-        )
+        estimate = adversary.reconstruct(self._log([2.0, 12.0], [10, 11]))
         # Pins at 2 and 12 instead of 0 and 10: at true time 10 the
         # adversary still thinks the asset is mid-path.
         x, _ = estimate.position_at(10.0)
@@ -172,14 +165,14 @@ class TestTrackingAdversary:
             NaiveAdversary(FlowKnowledge()), positions={1: (0.0, 0.0)}
         )
         with pytest.raises(KeyError):
-            adversary.reconstruct([self._obs(1.0, origin=99)])
+            adversary.reconstruct(self._log([1.0], origins=99))
 
     def test_empty_observations_rejected(self):
         adversary = TrackingAdversary(
             NaiveAdversary(FlowKnowledge()), positions={1: (0.0, 0.0)}
         )
         with pytest.raises(ValueError):
-            adversary.reconstruct([])
+            adversary.reconstruct(DeliveryLog())
 
 
 class TestLocalizationError:

@@ -26,8 +26,8 @@ TOL = 1e-9
 
 
 @pytest.fixture(scope="module")
-def rcad_observations():
-    return run_paper_case(2.0, "rcad", n_packets=200, seed=3).observations
+def rcad_delivery():
+    return run_paper_case(2.0, "rcad", n_packets=200, seed=3).delivery
 
 
 def _model_based_adversary():
@@ -46,17 +46,18 @@ ADVERSARIES = {
 
 class TestAdversaryEstimators:
     @pytest.mark.parametrize("kind", sorted(ADVERSARIES))
-    def test_estimate_all_matches_scalar(self, rcad_observations, kind):
+    def test_estimate_all_matches_scalar(self, rcad_delivery, kind):
         adversary = ADVERSARIES[kind]()
-        v = adversary.estimate_all(rcad_observations)
-        s = estimate_all_scalar(adversary, rcad_observations)
-        assert len(v) == len(s) == len(rcad_observations)
+        v = adversary.estimate_all(rcad_delivery)
+        s = estimate_all_scalar(adversary, rcad_delivery)
+        assert len(v) == len(s) == len(rcad_delivery)
         assert max(abs(a - b) for a, b in zip(v, s)) <= TOL
 
-    def test_out_of_order_arrivals_rejected(self, rcad_observations):
+    def test_out_of_order_arrivals_rejected(self, rcad_delivery):
         adversary = build_adversary("baseline", "rcad")
-        shuffled = list(rcad_observations)
-        shuffled[0], shuffled[-1] = shuffled[-1], shuffled[0]
+        rows = list(range(len(rcad_delivery)))
+        rows[0], rows[-1] = rows[-1], rows[0]
+        shuffled = rcad_delivery.take(rows)
         with pytest.raises(ValueError):
             adversary.estimate_all(shuffled)
 
