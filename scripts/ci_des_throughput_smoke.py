@@ -41,7 +41,7 @@ from repro.sim.config import SimulationConfig  # noqa: E402
 from repro.sim.fastpath import fastpath_eligible  # noqa: E402
 from repro.sim.simulator import SensorNetworkSimulator  # noqa: E402
 
-RECORDED_SPEEDUP = 16.75  # event/fast, median of 20 runs (2-vCPU x86-64)
+RECORDED_SPEEDUP = 36.7  # event/fast, median of 20 runs (2-vCPU x86-64)
 TOLERANCE = 0.20  # fail below (1 - TOLERANCE) * RECORDED_SPEEDUP
 ABSOLUTE_FLOOR = 3.0  # never accept less than this, tolerance aside
 PAIRS = 7

@@ -22,7 +22,11 @@ A buffer keeps its live entries in admission order plus a
 ``(release_time, entry_id)`` heap; releases leave from the heap head
 and each victim policy is a key on the two (:data:`_VICTIM_RULES`).
 The event engine and the service drive a buffer packet by packet; the
-fast path hands a node's whole arrival batch to :func:`replay`.
+fast path hands a node's whole arrival batch to :func:`replay`, which
+replays drop-tail with one heap loop and the paper's
+shortest-remaining RCAD with array order statistics
+(:func:`_shortest_remaining`): that buffer's contents after each
+arrival have a closed form, so its victims need no loop.
 
 The buffers are pure decision structures: they track occupancy and
 decide admissions, but event scheduling stays in the simulator, which
@@ -36,7 +40,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heappop, heappush, heapreplace
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 import numpy as np
@@ -443,11 +447,13 @@ def replay(
     ``arrival_times[i]`` asking for release at ``release_times[i]``;
     the releases due by then leave first, as :meth:`~PacketBuffer.poll_due`
     before :meth:`~PacketBuffer.offer` would, and the buffer drains
-    after the last arrival.  An unbounded buffer is array arithmetic;
-    drop-tail and shortest-remaining RCAD run one heap loop that builds
-    no entry and makes no call per arrival; other victim policies drive
-    ``buffer`` itself.  Like :meth:`~PacketBuffer.offer`, it raises
-    ``ValueError`` for a release before its arrival or a NaN time.
+    after the last arrival.  A buffer that cannot fill (unbounded, or
+    no fewer slots than arrivals) and shortest-remaining RCAD are array
+    arithmetic (:func:`_shortest_remaining`); drop-tail runs one heap
+    loop that builds no entry and makes no call per arrival; other
+    victim policies drive ``buffer`` itself.  Like
+    :meth:`~PacketBuffer.offer`, it raises ``ValueError`` for a release
+    before its arrival or a NaN time.
     """
     times = np.asarray(arrival_times, dtype=np.float64)
     releases = np.asarray(release_times, dtype=np.float64)
@@ -457,21 +463,23 @@ def replay(
         raise _bad_times(float(times[i]), float(releases[i]))
     if buffer.occupancy or buffer.admitted_count or buffer.dropped_count:
         raise ValueError("replay needs a fresh, empty buffer")
-    if buffer.capacity is None:
+    capacity = buffer.capacity
+    if capacity is None or capacity >= len(times):
         order = np.argsort(releases, kind="stable")  # (release, index) order
         return _fold(times, releases[order], order, [], [], [])
+    rcad = isinstance(buffer, RcadBuffer)
+    if rcad and buffer.victim_policy.name == ShortestRemainingDelay.name:
+        return _fold(times, *_shortest_remaining(times, releases, capacity))
     victims: list[int] = []
     preemptors: list[int] = []
     drops: list[int] = []
     arrivals = enumerate(zip(times.tolist(), releases.tolist()))
-    preempt = isinstance(buffer, RcadBuffer)
-    if not preempt or buffer.victim_policy.name == ShortestRemainingDelay.name:
+    if not rcad:
         # Arrival indices ascend like entry ids, so ``(release, index)``
         # orders this heap exactly like the buffer's own.
         heap: list[tuple[float, int]] = []
         rel_t: list[float] = []  # scheduled releases, in leaving order
         rel_i: list[int] = []
-        capacity = buffer.capacity
         for i, (t, release) in arrivals:
             while heap and heap[0][0] <= t:
                 due, j = heappop(heap)
@@ -479,9 +487,6 @@ def replay(
                 rel_i.append(j)
             if len(heap) < capacity:
                 heappush(heap, (release, i))
-            elif preempt:  # the shortest-remaining victim is the head
-                victims.append(heapreplace(heap, (release, i))[1])
-                preemptors.append(i)
             else:
                 drops.append(i)
         for due, j in sorted(heap):
@@ -503,6 +508,50 @@ def replay(
     return _fold(times, rel_t, rel_i, victims, preemptors, drops)
 
 
+def _shortest_remaining(times, releases, capacity):
+    """Shortest-remaining RCAD over a batch, by order statistics.
+
+    Key packet ``j`` by ``(releases[j], j)``, the order the release heap
+    pops.  After arrival ``i`` the buffer holds ``i`` plus the
+    ``capacity - 1`` largest keys among the earlier packets still
+    pending at ``times[i]``: each arrival releases the keys due by then
+    and, if full, evicts the smallest live key, and releasing every key
+    below a threshold commutes with keeping the largest
+    ``capacity - 1``, so evicted packets never need tracking.  Hence
+    packet ``j`` leaves at arrival ``max(j, full[j]) + 1``, where
+    ``full[j]`` ends the first prefix holding ``capacity - 1`` larger
+    keys: as that arrival's victim if its release is still pending
+    then, at its release time otherwise.  Released packets leave in key
+    order.  Returns :func:`_fold`'s arguments after ``times``.
+    """
+    n = len(times)
+    order = np.argsort(releases, kind="stable")  # ascending key
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n - 1, -1, -1)  # 0: the largest key
+    index = np.arange(n)
+    # full[j]: the first prefix end holding capacity - 1 keys larger
+    # than packet j's (-1: the empty prefix; n: none).
+    full = -1
+    if capacity > 1:
+        # kth[i]: the l-th smallest rank among packets 0..i (n while
+        # fewer than l), for l = 1 .. capacity - 1 in turn.
+        kth = np.minimum.accumulate(rank)
+        candidate = np.empty(n, dtype=np.int64)
+        candidate[0] = n
+        for _ in range(capacity - 2):
+            np.maximum(kth[:-1], rank[1:], out=candidate[1:])
+            np.minimum.accumulate(candidate, out=kth)
+        full = np.searchsorted(-kth, -rank, side="right")
+    evictor = np.maximum(full, index) + 1
+    evicted = evictor < n
+    evicted[evicted] = times[evictor[evicted]] < releases[evicted]
+    victim_of = np.full(n, -1, dtype=np.int64)  # each arrival evicts <= 1
+    victim_of[evictor[evicted]] = index[evicted]
+    preemptors = np.flatnonzero(victim_of >= 0)
+    released = order[~evicted[order]]
+    return releases[released], released, victim_of[preemptors], preemptors, []
+
+
 def _fold(times, rel_t, rel_i, victims, preemptors, drops) -> Replay:
     """Interleave a replay's releases with its arrivals; fold the stats."""
     n = len(times)
@@ -512,34 +561,37 @@ def _fold(times, rel_t, rel_i, victims, preemptors, drops) -> Replay:
     preemptors = np.asarray(preemptors, dtype=np.int64)
     drops = np.asarray(drops, dtype=np.int64)
     # A release leaves just before the first later arrival due at or
-    # after it (slot n: the final drain); slots ascend in leaving order.
+    # after it (slot n: the final drain); slots ascend in leaving order,
+    # so release k is event k + slots[k] and the arrivals fill the rest.
     slots = np.maximum(rel_i + 1, np.searchsorted(times, rel_t, side="left"))
+    is_arrival = np.ones(n + len(rel_t), dtype=bool)
+    is_arrival[np.arange(len(slots)) + slots] = False
+    # A victim leaves at its preemptor's arrival, after every release
+    # slotted there or earlier.
+    is_victim = np.zeros(len(preemptors) + len(rel_t), dtype=bool)
+    is_victim[
+        np.arange(len(preemptors)) + np.searchsorted(slots, preemptors, side="right")
+    ] = True
 
-    def interleave(at, firsts, releases):
-        # ``firsts[k]`` happens at arrival ``at[k]``, after every
-        # release slotted there or earlier.
-        merged = np.empty(len(firsts) + len(releases), dtype=releases.dtype)
-        mine = np.arange(len(at)) + np.searchsorted(slots, at, side="right")
-        is_release = np.ones(len(merged), dtype=bool)
-        is_release[mine] = False
-        merged[mine] = firsts
-        merged[is_release] = releases
+    def interleave(is_first, firsts, releases):
+        merged = np.empty(len(is_first), dtype=releases.dtype)
+        merged[is_first] = firsts
+        merged[~is_first] = releases
         return merged
 
-    arrivals = np.arange(n)
     steps = np.ones(n, dtype=np.int64)  # admitted without preemption
     steps[drops] = 0
     steps[preemptors] = 0
-    event_times = interleave(arrivals, times, rel_t)
-    deltas = interleave(arrivals, steps, np.full(len(rel_t), -1, dtype=np.int64))
+    event_times = interleave(is_arrival, times, rel_t)
+    deltas = interleave(is_arrival, steps, np.full(len(rel_t), -1, dtype=np.int64))
     occupancy = np.cumsum(deltas)
     # Left fold of occupancy-before x elapsed in event order: the event
     # engine's running float accumulation, operation for operation.
     elapsed = np.diff(event_times, prepend=event_times[:1])
     integral = np.cumsum((occupancy - deltas) * elapsed)
     return Replay(
-        departure_times=interleave(preemptors, times[preemptors], rel_t),
-        departures=interleave(preemptors, victims, rel_i),
+        departure_times=interleave(is_victim, times[preemptors], rel_t),
+        departures=interleave(is_victim, victims, rel_i),
         victims=victims,
         preemptors=preemptors,
         drops=drops,

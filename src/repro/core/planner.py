@@ -21,7 +21,7 @@ All planners emit a :class:`DelayPlan`: node id -> delay distribution.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from repro.core.delays import DelayDistribution, ExponentialDelay

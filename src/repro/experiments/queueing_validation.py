@@ -15,8 +15,6 @@ Three checks tying the analytic queueing layer to the DES engine:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.records import ExperimentSeries, ExperimentTable
 from repro.core.planner import UniformPlanner
 from repro.net.routing import greedy_grid_tree

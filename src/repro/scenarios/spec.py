@@ -25,8 +25,9 @@ Three topology families:
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -136,8 +137,14 @@ class TopologySpec:
             return int(self.width * self.height)  # type: ignore[operator]
         return int(self.n_nodes)  # type: ignore[arg-type]
 
+    @functools.lru_cache(maxsize=8)
     def build(self) -> tuple[Deployment, RoutingTree]:
-        """Deterministically build the deployment and its routing tree."""
+        """Deterministically build the deployment and its routing tree.
+
+        Built once per spec and process: every cell of a scenario
+        matrix compiles the same network, so callers must not mutate
+        the result.
+        """
         if self.family == "line":
             deployment = line_deployment(hops=self.n_nodes - 1)  # type: ignore[operator]
             return deployment, shortest_path_tree(deployment)
@@ -427,7 +434,7 @@ class ScenarioSpec:
         labels = dict(deployment.labels)
         for index, node in enumerate(source_nodes):
             labels[f"S{index + 1}"] = node
-        deployment.labels = labels
+        deployment = replace(deployment, labels=labels)
         flows = [
             FlowSpec(
                 flow_id=index + 1,

@@ -18,10 +18,11 @@ single batch:
 * each node's whole arrival batch goes through
   :func:`repro.core.buffers.replay`, the buffer module's batch entry
   point, so release order and victim choice have one implementation
-  shared with the event engine and the service: infinite buffers
-  reduce to array arithmetic, drop-tail and RCAD (whose paper victim
-  is the release heap's head) to one heap loop, and the occupancy
-  integral to a cumulative sum over the node's event sequence;
+  shared with the event engine and the service: infinite buffers and
+  RCAD (whose buffer contents after each arrival are an order
+  statistic of the release times) reduce to array arithmetic,
+  drop-tail to one heap loop, and the occupancy integral to a
+  cumulative sum over the node's event sequence;
 * telemetry is recorded into per-node lists and bulk-flushed into the
   run's series after the sweep, instead of per-event closure calls.
 

@@ -8,7 +8,11 @@ the list-and-scan buffer both started from.  For drop-tail and every
 victim policy the three must agree on departure times and order,
 victims, drops and the node counters -- the occupancy integral bit for
 bit.  The golden digests pin no ``random`` or ``longest-remaining``
-cell, so this is the only cell-level check of those two rules.
+cell, so this is the only cell-level check of those two rules.  Tied
+arrival and release times, zero delays and long saturated batches get
+their own cases: the batch replay of shortest-remaining RCAD is an
+order-statistic kernel, not the buffer's heap, and orders ties only by
+arrival index.
 """
 
 from __future__ import annotations
@@ -46,6 +50,21 @@ ARRIVALS = st.lists(
     ),
     min_size=1,
     max_size=60,
+)
+
+#: Gaps and delays on a coarse grid that includes 0: equal arrival
+#: times, equal release times and zero delays.  Half the batches are
+#: no longer than the largest capacity; the rest are long enough
+#: (offered load ~12) to overflow every capacity many times over.
+TIED_ARRIVALS = st.one_of(st.integers(1, 12), st.integers(13, 200)).flatmap(
+    lambda n: st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.25, 0.5]),
+            st.sampled_from([0.0, 1.0, 2.0, 4.0, 8.0]),
+        ),
+        min_size=n,
+        max_size=n,
+    )
 )
 
 
@@ -109,16 +128,7 @@ def _via_core(capacity, policy, times, delays, seed) -> NodeReplay:
     return out
 
 
-@pytest.mark.parametrize(
-    "policy", POLICIES, ids=lambda p: "drop-tail" if p is None else p.name
-)
-@settings(max_examples=100, deadline=None)
-@given(
-    arrivals=ARRIVALS,
-    capacity=st.integers(min_value=1, max_value=12),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_batch_core_and_oracle_agree(policy, arrivals, capacity, seed):
+def _assert_agree(policy, arrivals, capacity, seed):
     gaps, delays = (np.array(column, dtype=np.float64) for column in zip(*arrivals))
     times = np.cumsum(gaps)
     oracle = replay_node(
@@ -128,3 +138,40 @@ def test_batch_core_and_oracle_agree(policy, arrivals, capacity, seed):
     assert _via_batch(capacity, policy, times, delays, seed) == oracle
     assert _via_core(capacity, policy, times, delays, seed) == oracle
 
+
+def _policy_id(policy):
+    return "drop-tail" if policy is None else policy.name
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=_policy_id)
+@settings(max_examples=100, deadline=None)
+@given(
+    arrivals=ARRIVALS,
+    capacity=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_batch_core_and_oracle_agree(policy, arrivals, capacity, seed):
+    _assert_agree(policy, arrivals, capacity, seed)
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=_policy_id)
+@settings(max_examples=60, deadline=None)
+@given(
+    arrivals=TIED_ARRIVALS,
+    capacity=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_batch_core_and_oracle_agree_on_ties(policy, arrivals, capacity, seed):
+    _assert_agree(policy, arrivals, capacity, seed)
+
+
+def test_saturated_shortest_remaining_replay_matches_oracle():
+    """20,000 arrivals at offered load 30 into k = 10: preemption almost
+    every arrival, far past any batch the property tests draw."""
+    rng = np.random.default_rng(30)
+    times = np.cumsum(rng.exponential(1.0, 20_000))
+    delays = rng.exponential(30.0, 20_000)
+    policy = ShortestRemainingDelay()
+    got = _via_batch(10, policy, times, delays, seed=0)
+    assert got.preemptions > 15_000
+    assert got == replay_node(10, policy, times.tolist(), (times + delays).tolist())

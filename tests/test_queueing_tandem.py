@@ -1,6 +1,5 @@
 """Unit tests for tandem paths and routing-tree queue models."""
 
-import numpy as np
 import pytest
 from scipy import integrate
 

@@ -256,6 +256,17 @@ class TestCompilation:
             "PeriodicTraffic", "PoissonTraffic", "PeriodicTraffic",
         ]
 
+    def test_compiles_sharing_a_network_keep_their_own_source_labels(self):
+        grid = TopologySpec(family="grid", width=4, height=4)
+        (three, *_), (one, *_) = (
+            small_spec(topology=grid, sources=SourceSpec(count=n)).compile()
+            for n in (3, 1)
+        )
+        network = set(grid.build()[0].labels)
+        assert "S1" not in network
+        assert set(three.config.deployment.labels) - network == {"S1", "S2", "S3"}
+        assert set(one.config.deployment.labels) - network == {"S1"}
+
     def test_phantom_configs_do_not_share_policy_state(self):
         spec = small_spec(
             defenses=(DefenseSpec(name="phantom"),), seeds=(0, 1)
